@@ -1,0 +1,234 @@
+"""Golden digests: pinned SHA-256 fingerprints of simulated behaviour.
+
+Each case runs a fixed, seeded scenario and hashes everything it can
+observe: for whole simulations, every :class:`CacheStats` counter plus
+every scalar metric of the :class:`SimulationResult`; for raw access
+streams, the hierarchy's complete MESI state (counters, directory,
+residency, LRU-relevant hit/miss/eviction counts and dirty flags of every
+cache).  The pins are constants captured once; nothing here regenerates
+them.  A refactor meant to keep behaviour must leave every pin unchanged,
+and a deliberate behaviour change updates the pins it moves and says why.
+
+The ``REPRO_SIM_SHARDS=2`` cases rerun the simulations on the set-stripe
+sharded simulator, which must reproduce the single-process pins exactly.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.cachesim.hierarchy import CoherentHierarchy
+from repro.engine.runner import run_single
+from repro.engine.settings import RunSettings
+from repro.engine.simulator import EngineConfig, SimulationResult
+from repro.machine.cache_params import CacheParams
+from repro.machine.topology import build_machine
+from repro.units import KIB
+from repro.workloads.npb import make_npb
+from repro.workloads.producer_consumer import ProducerConsumerWorkload
+
+#: every scalar metric of a simulation result (simulated, not host time)
+RESULT_METRICS = (
+    "exec_time_s",
+    "instructions",
+    "l2_mpki",
+    "l3_mpki",
+    "c2c_transactions",
+    "c2c_inter",
+    "invalidations",
+    "proc_energy_j",
+    "dram_energy_j",
+    "proc_epi_nj",
+    "dram_epi_nj",
+    "migrations",
+    "os_migrations",
+    "detection_pct",
+    "mapping_pct",
+    "first_touch_faults",
+    "injected_faults",
+    "injected_ratio",
+)
+
+SERIAL = RunSettings()
+SHARDED = RunSettings.from_env({"REPRO_SIM_SHARDS": "2"})
+
+#: the paper workloads' short SPCD run (seed 99, 25 steps x 128)
+FULL_CONFIG = EngineConfig(steps=25, batch_size=128)
+FULL_WORKLOADS = {
+    "producer_consumer": ProducerConsumerWorkload,
+    "npb_sp": lambda: make_npb("SP"),
+    "npb_cg": lambda: make_npb("CG"),
+}
+FULL_PINS = {
+    "producer_consumer": "c10ad1036f356351e827f150471b852dd32a8a115f72bb08797682846d417f9b",
+    "npb_sp": "776594e698089d680c3c4bc4429c653db0a251c958e4d5160ad72db9aab02832",
+    "npb_cg": "a4efa133d1bdd2ab1ae8ba71af3e71109cdb20bd7b3503ae342969ca6060e756",
+}
+
+#: CG under every mapping policy, same short configuration; os and random
+#: coincide because the CFS-like scheduler draws its initial placement from
+#: the same rng stream and makes no migration in 25 steps
+POLICY_PINS = {
+    "os": "c4fa1689ea36a45850923c9b06162f421692f2606f915b0d47f92af2628fd436",
+    "random": "c4fa1689ea36a45850923c9b06162f421692f2606f915b0d47f92af2628fd436",
+    "oracle": "55412e07dfdfc872276c6ee051bf3fe526bc15901ab30f616ec79397c259b692",
+    "spcd": "a4efa133d1bdd2ab1ae8ba71af3e71109cdb20bd7b3503ae342969ca6060e756",
+}
+
+#: Fig. 8 cells at the benchmark's sampling factor, shortened
+FIG8_CONFIG = EngineConfig(steps=30, batch_size=128, time_scale=6000.0)
+FIG8_SEED = 601
+FIG8_PINS = {
+    ("SP", "os"): "18dd766d4fbcd0b6cb073dd400822e105b00c22c64f2a3e7db06c4c7254d428a",
+    ("SP", "oracle"): "8a87c084b93d10bc0d95851b0959f6c59ff1fc149d14fdb5ed1588cea32f3488",
+    ("SP", "spcd"): "4dde5f9b69e92d9a90cefbe5faf3b1daae280df30e09ad0b290d7e80266b1691",
+    ("EP", "os"): "72c59a1b0ca7df3bb616294dbc90e3ad39b631728b026a765688b0300cf61af0",
+    ("EP", "oracle"): "11bc2b94ef646ed1794a11349a7246264f9f4d49b0cb0cc426014497723b3688",
+    ("EP", "spcd"): "377c799b80d92cac36756a473c8ea1037272bd27e904cdf5f06d372385a5f008",
+}
+
+#: randomised raw access streams straight into the hierarchy
+DRAIN_STREAM_PINS = {
+    0.0: "6e4619cd8bc34338cffecdc8c926b08aad0fb52884f4579a56bb0230bd49878e",
+    0.05: "da01035c5e276824b98a742d153f9ff97c9ea68fd8dc6b583f38bb42f2bd6faa",
+    0.3: "f6ca9d0a5089c244544fe365f05d778145dd707c02ccd94402f9a17c40be0694",
+}
+RANDOM_STREAM_PIN = "822bfa93336f6e2de698e3767486e321d3fc0b09dfeb9f68d0a8433dd8763184"
+
+
+def digest(value) -> str:
+    """SHA-256 of a canonical ``repr`` (ints, floats, bools, tuples only)."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def result_digest(result: SimulationResult) -> str:
+    """Digest of every cache counter and every scalar simulated metric."""
+    return digest(
+        (
+            dataclasses.astuple(result.stats),
+            tuple(result.metric(name) for name in RESULT_METRICS),
+        )
+    )
+
+
+def hierarchy_digest(h: CoherentHierarchy) -> str:
+    """Digest of everything the MESI protocol can observe."""
+    caches = tuple(
+        (
+            cache.name,
+            cache.hits,
+            cache.misses,
+            cache.evictions,
+            tuple((line, cache.is_dirty(line)) for line in sorted(cache.resident_lines())),
+        )
+        for group in (h.l1, h.l2, h.l3)
+        for cache in group
+    )
+    return digest(
+        (
+            dataclasses.astuple(h.stats),
+            tuple(sorted(h._sharers.items())),
+            tuple(sorted(h._dirty_owner.items())),
+            caches,
+        )
+    )
+
+
+@pytest.mark.parametrize("settings", [SERIAL, SHARDED], ids=["serial", "shards2"])
+@pytest.mark.parametrize("name", list(FULL_PINS))
+def test_full_simulation_digest(name, settings):
+    result = run_single(
+        FULL_WORKLOADS[name], "spcd", seed=99, config=FULL_CONFIG, settings=settings
+    )
+    assert result_digest(result) == FULL_PINS[name]
+
+
+@pytest.mark.parametrize("policy", list(POLICY_PINS))
+def test_cg_policy_digest(policy):
+    result = run_single(
+        lambda: make_npb("CG"), policy, seed=99, config=FULL_CONFIG, settings=SERIAL
+    )
+    assert result_digest(result) == POLICY_PINS[policy]
+
+
+@pytest.mark.parametrize("settings", [SERIAL, SHARDED], ids=["serial", "shards2"])
+@pytest.mark.parametrize("cell", list(FIG8_PINS), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_fig8_cell_digest(cell, settings):
+    kernel, policy = cell
+    result = run_single(
+        lambda: make_npb(kernel), policy, seed=FIG8_SEED, config=FIG8_CONFIG,
+        settings=settings,
+    )
+    assert result_digest(result) == FIG8_PINS[cell]
+
+
+def drain_machine():
+    """Small enough to force evictions at every level."""
+    return build_machine(
+        2, 2, 2,
+        l1=CacheParams("L1", 2 * KIB, 2, 64, 2.0, 1),
+        l2=CacheParams("L2", 8 * KIB, 2, 64, 6.0, 2),
+        l3=CacheParams("L3", 16 * KIB, 4, 64, 15.0, 3),
+    )
+
+
+def drain_stream(rng, n: int, write_p: float, lines_hi: int):
+    """Same-line runs mixed with sweeps, half of them read-only re-sweeps
+    of lines that fell out of L1 but not L2 (the refill shape)."""
+    lines: list[int] = []
+    writes: list[int] = []
+    while len(lines) < n:
+        mode = rng.random()
+        if mode < 0.3:
+            line = int(rng.integers(0, lines_hi))
+            rep = int(rng.integers(1, 40))
+            lines += [line] * rep
+            writes += [int(rng.random() < write_p) for _ in range(rep)]
+        else:
+            base = int(rng.integers(0, lines_hi))
+            sweep_writes = mode < 0.65
+            for k in range(int(rng.integers(16, 80))):
+                lines.append((base + k) % lines_hi)
+                writes.append(int(rng.random() < write_p) if sweep_writes else 0)
+    return lines[:n], writes[:n], [0] * n
+
+
+@pytest.mark.parametrize("write_p", list(DRAIN_STREAM_PINS))
+def test_drain_stream_snapshot_digest(write_p):
+    rng = np.random.default_rng(int(write_p * 100) + 17)
+    h = CoherentHierarchy(drain_machine())
+    for _ in range(5):
+        for pu in range(8):
+            lines, writes, homes = drain_stream(rng, 600, write_p, 512)
+            h.access_batch_pu(pu, lines, writes, homes)
+    assert h.check_invariants() == []
+    assert hierarchy_digest(h) == DRAIN_STREAM_PINS[write_p]
+
+
+def test_random_stream_snapshot_digest():
+    """Dense (hit-heavy) and sparse (miss-heavy) random batches, 4 trials."""
+    machine = build_machine(
+        2, 2, 2,
+        l1=CacheParams("L1", 1 * KIB, 2, 64, 2.0, 1),
+        l2=CacheParams("L2", 2 * KIB, 2, 64, 6.0, 2),
+        l3=CacheParams("L3", 4 * KIB, 4, 64, 15.0, 3),
+    )
+    rng = np.random.default_rng(1234)
+    digests = []
+    for _ in range(4):
+        h = CoherentHierarchy(machine)
+        for _ in range(10):
+            pu = int(rng.integers(machine.n_cores))
+            n = int(rng.integers(1, 300))
+            span = int(rng.choice([12, 40, 400]))
+            lines = rng.integers(0, span, size=n).astype(np.int64)
+            writes = rng.random(n) < 0.3
+            homes = rng.integers(0, 2, size=n).astype(np.int64)
+            h.access_batch_pu(pu, lines, writes, homes)
+        assert h.check_invariants() == []
+        digests.append(hierarchy_digest(h))
+    assert digest(tuple(digests)) == RANDOM_STREAM_PIN
