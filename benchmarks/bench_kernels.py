@@ -6,9 +6,7 @@ hierarchy's access path, the fault pipeline with the SPCD hook attached,
 the injector wake, the hierarchical mapper, and the communication filter.
 """
 
-import dataclasses
 import json
-from time import perf_counter
 
 import numpy as np
 import pytest
@@ -138,52 +136,6 @@ def test_bench_detector_hook(benchmark):
         state["i"] += 1
 
     benchmark(hook)
-
-
-def test_bench_fastpath_vs_reference(machine, results_dir):
-    """Throughput of ``access_batch_pu``: vectorised fast path vs reference.
-
-    An L1-hit-heavy stream (small working set, per-core batches — the shape
-    the fast path is built for), identical for both engines.  Asserts bit
-    identical counters, then emits ``BENCH_hierarchy.json`` with accesses/s
-    and the speedup so regressions in either engine are visible.
-    """
-    rng = np.random.default_rng(0)
-    n, batches, repeat = 20_000, 8, 4
-    streams = []
-    for core in range(batches):
-        # runs of `repeat` accesses per line: consecutive-word locality
-        # within a 64 B line, the shape real per-thread streams have
-        base = rng.integers(0, 12, n // repeat + 1)
-        lines = np.repeat(base, repeat)[:n].astype(np.int64) + 64 * core
-        writes = rng.random(n) < 0.2
-        homes = rng.integers(0, 2, n).astype(np.int64)
-        streams.append((core % machine.n_pus, lines, writes, homes))
-
-    def drive(hier):
-        t0 = perf_counter()
-        for pu, lines, writes, homes in streams:
-            hier.access_batch_pu(pu, lines, writes, homes)
-        return perf_counter() - t0
-
-    fast = CoherentHierarchy(machine, fast_path=True)
-    slow = CoherentHierarchy(machine, fast_path=False)
-    drive(fast), drive(slow)  # warm-up (also populates the L1s)
-    t_fast = min(drive(fast) for _ in range(5))
-    t_slow = min(drive(slow) for _ in range(5))
-
-    assert dataclasses.astuple(fast.stats) == dataclasses.astuple(slow.stats)
-    assert fast.check_invariants() == []
-
-    total = n * batches
-    payload = {
-        "accesses": total,
-        "fast_acc_per_s": total / t_fast,
-        "slow_acc_per_s": total / t_slow,
-        "speedup": t_slow / t_fast,
-    }
-    emit(results_dir, "BENCH_hierarchy.json", json.dumps(payload, indent=2))
-    assert payload["speedup"] > 1.0
 
 
 def test_bench_spcd_fault_path(results_dir):

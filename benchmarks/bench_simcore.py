@@ -1,22 +1,15 @@
 """End-to-end simulator-core benchmark: the Fig. 8 wall-clock trajectory.
 
 Not a paper figure — this measures how fast the *simulator itself* produces
-the paper's headline result (Fig. 8, end-to-end execution time) across the
-three engine generations that now coexist behind ``RunSettings`` flags:
+the paper's headline result (Fig. 8, end-to-end execution time), serial
+and on the core-sharded parallel engine (``REPRO_SIM_SHARDS=4``).
 
-* **scalar** — the PR-5 baseline: L1 fast path with per-access MESI drains
-  (``REPRO_SLOW_MESI=1``);
-* **batched** — batched MESI drains (this PR's default);
-* **batched+sharded** — batched drains plus the core-sharded parallel
-  engine (``REPRO_SIM_SHARDS=4``).
-
-Before timing anything the driver asserts the *whole grid* of
-``REPRO_SIM_SHARDS in {1, 2, 4} x REPRO_SLOW_MESI in {0, 1}`` produces
-bit-identical :class:`SimulationResult` digests — the speedup numbers are
-meaningless if the engines diverge.  It also records the mapping-decision
-latency of the vectorised grouping + matching kernels at 32/128/512
-simulated threads (the Schulz & Woydt scaling axis), and emits everything
-as ``BENCH_simcore.json``.
+Before timing anything the driver asserts that ``REPRO_SIM_SHARDS`` in
+{1, 2, 4} produces bit-identical :class:`SimulationResult` digests — the
+speedup numbers are meaningless if the engines diverge.  It also records
+the mapping-decision latency of the vectorised grouping + matching kernels
+at 32/128/512 simulated threads (the Schulz & Woydt scaling axis), and
+emits everything as ``BENCH_simcore.json``.
 
 Wall-clock speedup from sharding needs real cores: the payload records
 ``host_cpus`` and the >= 3x acceptance gate is only asserted when the host
@@ -84,24 +77,20 @@ def _run(settings: RunSettings, steps: int) -> tuple[SimulationResult, float]:
 
 def run_simcore_bench() -> dict:
     """Run the parity grid, the wall-clock trajectory and the mapper sweep."""
-    # -- parity grid: shards x drain mode, all digests must coincide ----
+    # -- parity grid: every shard count's digest must coincide ---------
     parity: dict[str, str] = {}
     for shards in (1, 2, 4):
-        for slow_mesi in (False, True):
-            result, _ = _run(
-                RunSettings(sim_shards=shards, slow_mesi=slow_mesi), PARITY_STEPS
-            )
-            parity[f"shards{shards}_slowmesi{int(slow_mesi)}"] = result_digest(result)
+        result, _ = _run(RunSettings(sim_shards=shards), PARITY_STEPS)
+        parity[f"shards{shards}"] = result_digest(result)
     digests = set(parity.values())
     assert len(digests) == 1, f"engines diverged: {parity}"
 
-    # -- Fig. 8 wall clock: scalar -> batched -> batched+sharded --------
+    # -- Fig. 8 wall clock: serial -> sharded ---------------------------
     walls: dict[str, float] = {}
     digest = None
     for label, settings in (
-        ("scalar", RunSettings(slow_mesi=True)),
-        ("batched", RunSettings()),
-        ("batched_sharded4", RunSettings(sim_shards=4)),
+        ("serial", RunSettings()),
+        ("sharded4", RunSettings(sim_shards=4)),
     ):
         result, wall = _run(settings, SIMCORE_STEPS)
         walls[label] = wall
@@ -145,8 +134,7 @@ def run_simcore_bench() -> dict:
         "parity_digest": digests.pop(),
         "parity_cells": parity,
         "wall_s": walls,
-        "speedup_batched": walls["scalar"] / walls["batched"],
-        "speedup_sharded4": walls["scalar"] / walls["batched_sharded4"],
+        "speedup_sharded4": walls["serial"] / walls["sharded4"],
         "mapping_latency_s": mapping_latency,
         "mapping_latency_dense_s": mapping_latency_dense,
     }

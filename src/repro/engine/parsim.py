@@ -45,10 +45,8 @@ as a :class:`~repro.errors.SimulationError`.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, fields
-from multiprocessing import connection as mpc
+from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
-from time import perf_counter
 
 import numpy as np
 
@@ -83,8 +81,6 @@ class ShardSpec:
     batch_size: int
     shard: int
     n_shards: int
-    fast_path: bool
-    batch_mesi: bool
 
 
 def _shard_worker_main(conn, spec: ShardSpec) -> None:  # pragma: no cover - subprocess
@@ -98,9 +94,7 @@ def _shard_worker_main(conn, spec: ShardSpec) -> None:  # pragma: no cover - sub
     ``("error", message)`` reply before the worker exits.
     """
     try:
-        hierarchy = CoherentHierarchy(
-            spec.machine, fast_path=spec.fast_path, batch_mesi=spec.batch_mesi
-        )
+        hierarchy = CoherentHierarchy(spec.machine)
         workload = spec.workload
         rngs = RngFactory(spec.seed)
         owned = list(range(spec.shard, spec.n_threads, spec.n_shards))
@@ -184,8 +178,6 @@ class ShardPool:
         n_threads: int,
         batch_size: int,
         n_shards: int,
-        fast_path: bool = True,
-        batch_mesi: bool = True,
         step_timeout_s: "float | None" = 600.0,
         max_respawns: int = 1,
         mp_context=None,
@@ -211,8 +203,6 @@ class ShardPool:
                 batch_size=batch_size,
                 shard=s,
                 n_shards=n_shards,
-                fast_path=fast_path,
-                batch_mesi=batch_mesi,
             )
             for s in range(n_shards)
         ]

@@ -45,8 +45,6 @@ __all__ = [
     "ENV_SERVE_SHARDS",
     "ENV_SERVE_WORKERS",
     "ENV_SIM_SHARDS",
-    "ENV_SLOW_HIERARCHY",
-    "ENV_SLOW_MESI",
     "ENV_SLOW_SPCD",
     "ENV_SPARSE_COMM",
     "ENV_TRACE",
@@ -60,12 +58,8 @@ ENV_GRID_WORKERS = "REPRO_GRID_WORKERS"
 ENV_RESULT_CACHE = "REPRO_RESULT_CACHE"
 #: trace sink: a ``.jsonl`` file or a directory (empty/unset = tracing off)
 ENV_TRACE = "REPRO_TRACE"
-#: select the per-access reference cache hierarchy
-ENV_SLOW_HIERARCHY = "REPRO_SLOW_HIERARCHY"
 #: select the per-fault reference fault/SPCD path
 ENV_SLOW_SPCD = "REPRO_SLOW_SPCD"
-#: select the scalar reference MESI drain (keep Legacy L2s, per-run loops)
-ENV_SLOW_MESI = "REPRO_SLOW_MESI"
 #: coherence-stripe worker processes per simulation (1 = single-process)
 ENV_SIM_SHARDS = "REPRO_SIM_SHARDS"
 #: largest sharing-table touch batch handled by the scalar path
@@ -175,12 +169,8 @@ class RunSettings:
     cache_dir: "str | None" = None
     #: trace sink (``.jsonl`` file or directory); ``None`` disables tracing
     trace: "str | None" = None
-    #: run the per-access reference cache hierarchy (differential testing)
-    slow_hierarchy: bool = False
     #: run the per-fault reference fault/SPCD path (differential testing)
     slow_spcd: bool = False
-    #: run the scalar reference MESI drain (differential testing)
-    slow_mesi: bool = False
     #: coherence-stripe worker processes per simulation; 1 = single-process
     sim_shards: int = 1
     #: batches of at most this many sharing-table touches stay scalar
@@ -309,9 +299,7 @@ class RunSettings:
             workers=workers,
             cache_dir=_get(environ, ENV_RESULT_CACHE) or None,
             trace=_get(environ, ENV_TRACE) or None,
-            slow_hierarchy=_env_bool(environ, ENV_SLOW_HIERARCHY),
             slow_spcd=_env_bool(environ, ENV_SLOW_SPCD),
-            slow_mesi=_env_bool(environ, ENV_SLOW_MESI),
             sim_shards=_env_int(environ, ENV_SIM_SHARDS, 1),
             batch_cutover_touch=_env_int(environ, ENV_BATCH_CUTOVER_TOUCH, 12),
             batch_cutover_resolve=_env_int(environ, ENV_BATCH_CUTOVER_RESOLVE, 4),

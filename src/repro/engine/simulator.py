@@ -209,11 +209,7 @@ class Simulator:
         #: REPRO_SLOW_SPCD=1 keeps the per-fault reference path end to end
         #: (scalar resolution loop + dict detection engine)
         self._batch_faults = not self.settings.slow_spcd
-        self.hierarchy = CoherentHierarchy(
-            self.machine,
-            fast_path=not self.settings.slow_hierarchy,
-            batch_mesi=not self.settings.slow_mesi,
-        )
+        self.hierarchy = CoherentHierarchy(self.machine)
         self.time_model = TimeModel(self.machine, params=self.config.time_params)
         self.energy_model = EnergyModel(self.machine, params=self.config.energy_params)
         self.wheel = TimerWheel()
@@ -342,8 +338,6 @@ class Simulator:
                     n_threads=self.workload.n_threads,
                     batch_size=cfg.batch_size,
                     n_shards=self.settings.sim_shards,
-                    fast_path=not self.settings.slow_hierarchy,
-                    batch_mesi=not self.settings.slow_mesi,
                 )
                 pool.start()
                 self._pool = pool

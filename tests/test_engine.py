@@ -116,19 +116,19 @@ class TestPolicies:
             Policy.parse("best-effort")
 
     def test_os_policy_builds_cfs(self, machine, rng):
-        sched = make_scheduler(Policy.OS, machine, make_npb("BT"), rng)
+        sched = make_scheduler("os", machine, make_npb("BT"), rng)
         assert isinstance(sched, CfsLikeScheduler)
         assert len(sched.tasks) == 32
 
     def test_random_policy_is_pinned_permutation(self, machine, rng):
-        sched = make_scheduler(Policy.RANDOM, machine, make_npb("BT"), rng)
+        sched = make_scheduler("random", machine, make_npb("BT"), rng)
         assert isinstance(sched, PinnedScheduler)
         assert sorted(sched.placement().tolist()) == sorted(
             set(sched.placement().tolist())
         )
 
     def test_oracle_policy_pairs_chain_neighbours(self, machine, rng):
-        sched = make_scheduler(Policy.ORACLE, machine, make_npb("SP"), rng)
+        sched = make_scheduler("oracle", machine, make_npb("SP"), rng)
         placement = sched.placement()
         same_core = sum(
             machine.core_of(int(placement[i])) == machine.core_of(int(placement[i + 1]))
@@ -137,7 +137,7 @@ class TestPolicies:
         assert same_core >= 12  # chain pairs mostly co-located
 
     def test_spcd_policy_is_pinnable(self, machine, rng):
-        sched = make_scheduler(Policy.SPCD, machine, make_npb("BT"), rng)
+        sched = make_scheduler("spcd", machine, make_npb("BT"), rng)
         assert isinstance(sched, PinnedScheduler)
 
     def test_too_many_threads_rejected(self, small_machine, rng):
@@ -145,9 +145,9 @@ class TestPolicies:
 
         wl = SyntheticNpbWorkload(NPB_SPECS["BT"], n_threads=9)
         with pytest.raises(ConfigurationError):
-            make_scheduler(Policy.OS, small_machine, wl, rng)
+            make_scheduler("os", small_machine, wl, rng)
 
     def test_random_differs_between_seeds(self, machine):
-        a = make_scheduler(Policy.RANDOM, machine, make_npb("BT"), np.random.default_rng(1))
-        b = make_scheduler(Policy.RANDOM, machine, make_npb("BT"), np.random.default_rng(2))
+        a = make_scheduler("random", machine, make_npb("BT"), np.random.default_rng(1))
+        b = make_scheduler("random", machine, make_npb("BT"), np.random.default_rng(2))
         assert a.placement().tolist() != b.placement().tolist()

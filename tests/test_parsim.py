@@ -5,8 +5,8 @@ worker processes by ``line & (S - 1)``.  Because the stripe bits are the
 low bits of the set index at every cache level, stripes never share a
 cache set, a directory entry, or an LRU ordering — so the merged shard
 counters must equal the single-process counters bit for bit, for any
-shard count, in both MESI drain modes, and even across a mid-run worker
-crash (the journal replay rebuilds the dead shard's state exactly).
+shard count, and even across a mid-run worker crash (the journal replay
+rebuilds the dead shard's state exactly).
 """
 
 from __future__ import annotations
@@ -53,24 +53,19 @@ def assert_results_equal(a, b) -> None:
         assert a.metric(metric) == b.metric(metric), metric
 
 
-@pytest.mark.parametrize("slow_mesi", [False, True], ids=["batched", "scalar_mesi"])
 @pytest.mark.parametrize("shards", [2, 4])
-def test_sharded_run_bit_identical(shards, slow_mesi):
-    """REPRO_SIM_SHARDS x REPRO_SLOW_MESI: all cells equal the serial run."""
+def test_sharded_run_bit_identical(shards):
+    """Every REPRO_SIM_SHARDS count equals the serial run."""
     cfg = EngineConfig(steps=12, batch_size=96)
     serial = run_single(
-        ProducerConsumerWorkload,
-        "spcd",
-        seed=11,
-        config=cfg,
-        settings=RunSettings(slow_mesi=slow_mesi),
+        ProducerConsumerWorkload, "spcd", seed=11, config=cfg, settings=RunSettings()
     )
     sharded = run_single(
         ProducerConsumerWorkload,
         "spcd",
         seed=11,
         config=cfg,
-        settings=RunSettings(slow_mesi=slow_mesi, sim_shards=shards),
+        settings=RunSettings(sim_shards=shards),
     )
     assert_results_equal(serial, sharded)
 
@@ -166,3 +161,13 @@ def test_env_sim_shards_reaches_engine(monkeypatch):
         settings=RunSettings(sim_shards=2),
     )
     assert_results_equal(via_env, via_arg)
+
+
+def test_snapshot_matches_dataclass_field_order():
+    """Shard deltas are ``snapshot()`` differences: it must track the field order."""
+    stats = CacheStats(**{
+        f.name: i + 1 for i, f in enumerate(dataclasses.fields(CacheStats))
+    })
+    assert stats.snapshot() == tuple(
+        getattr(stats, f.name) for f in dataclasses.fields(CacheStats)
+    )

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import EngineConfig, RunSettings, Simulator, SpcdConfig, make_npb
+from repro import EngineConfig, RunSettings, Simulator, make_npb
 from repro.core.datamap import SpcdDataMapper
 from repro.engine.policies import Policy, make_scheduler
 from repro.errors import AddressError, ConfigurationError
@@ -37,7 +37,7 @@ from repro.placement import (
     canonical_policies,
     resolve_policy,
 )
-from repro.units import MSEC, PAGE_SIZE
+from repro.units import PAGE_SIZE
 
 CFG = EngineConfig(batch_size=128, steps=40, pretouch="parallel")
 
@@ -109,7 +109,7 @@ class TestResolvePolicy:
 
     def test_legacy_make_scheduler_shim_still_builds(self, rng):
         machine = dual_xeon_e5_2650()
-        scheduler = make_scheduler(Policy.OS, machine, make_npb("CG"), rng)
+        scheduler = make_scheduler("os", machine, make_npb("CG"), rng)
         assert scheduler.placement().shape == (make_npb("CG").n_threads,)
 
 

@@ -14,7 +14,6 @@ from repro.engine.settings import (
     ENV_RESULT_CACHE,
     ENV_RETRY_BACKOFF,
     ENV_SERVE_WORKERS,
-    ENV_SLOW_HIERARCHY,
     ENV_SLOW_SPCD,
     ENV_TRACE,
     RunSettings,
@@ -28,7 +27,7 @@ def test_defaults_from_empty_environment():
     assert s == RunSettings()
     assert s.workers == 1
     assert s.cache_dir is None and s.trace is None
-    assert not s.slow_hierarchy and not s.slow_spcd
+    assert not s.slow_spcd
     assert s.cell_timeout_s is None
     assert s.cell_retries == 2
     assert s.retry_backoff_s == 0.25
@@ -40,7 +39,6 @@ def test_from_env_round_trip():
         ENV_GRID_WORKERS: "1",
         ENV_RESULT_CACHE: "/tmp/cache",
         ENV_TRACE: "/tmp/trace",
-        ENV_SLOW_HIERARCHY: "yes",
         ENV_SLOW_SPCD: "on",
         ENV_CELL_TIMEOUT: "12.5",
         ENV_CELL_RETRIES: "4",
@@ -51,7 +49,7 @@ def test_from_env_round_trip():
     assert s.workers == 1
     assert s.cache_dir == "/tmp/cache"
     assert s.trace == "/tmp/trace"
-    assert s.slow_hierarchy and s.slow_spcd and s.strict
+    assert s.slow_spcd and s.strict
     assert s.cell_timeout_s == 12.5
     assert s.cell_retries == 4
     assert s.retry_backoff_s == 0.5
@@ -90,7 +88,7 @@ def test_serve_workers_from_env():
     [
         {ENV_GRID_WORKERS: "three"},
         {ENV_SLOW_SPCD: "maybe"},
-        {ENV_SLOW_HIERARCHY: "2"},
+        {ENV_SLOW_SPCD: "2"},
         {ENV_CELL_TIMEOUT: "soon"},
         {ENV_CELL_RETRIES: "2.5"},
         {ENV_RETRY_BACKOFF: "fast"},
