@@ -5,7 +5,10 @@ observe: for whole simulations, every :class:`CacheStats` counter plus
 every scalar metric of the :class:`SimulationResult`; for raw access
 streams, the hierarchy's complete MESI state (counters, directory,
 residency, LRU-relevant hit/miss/eviction counts and dirty flags of every
-cache).  The pins are constants captured once; nothing here regenerates
+cache); for thread mapping, the hierarchical mapper's thread -> PU
+assignment and the blossom engine's raw ``mate`` arrays, including
+degenerate all-ties inputs where only the tie-break order decides the
+result.  The pins are constants captured once; nothing here regenerates
 them.  A refactor meant to keep behaviour must leave every pin unchanged,
 and a deliberate behaviour change updates the pins it moves and says why.
 
@@ -22,6 +25,8 @@ import numpy as np
 import pytest
 
 from repro.cachesim.hierarchy import CoherentHierarchy
+from repro.core.mapping import HierarchicalMapper
+from repro.core.matching import _blossom_reference
 from repro.engine.runner import run_single
 from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, SimulationResult
@@ -29,6 +34,7 @@ from repro.machine.cache_params import CacheParams
 from repro.machine.topology import build_machine
 from repro.units import KIB
 from repro.workloads.npb import make_npb
+from repro.workloads.patterns import mixed_pattern
 from repro.workloads.producer_consumer import ProducerConsumerWorkload
 
 #: every scalar metric of a simulation result (simulated, not host time)
@@ -98,6 +104,33 @@ DRAIN_STREAM_PINS = {
     0.3: "f6ca9d0a5089c244544fe365f05d778145dd707c02ccd94402f9a17c40be0694",
 }
 RANDOM_STREAM_PIN = "822bfa93336f6e2de698e3767486e321d3fc0b09dfeb9f68d0a8433dd8763184"
+
+#: (sockets, cores per socket, SMT) of the machine mapping n threads
+MAPPING_MACHINES = {64: (2, 16, 2), 128: (4, 16, 2), 256: (4, 32, 2)}
+#: Edmonds-grouped mappings of the detected-shape matrix (chain + background)
+MIXED_MAPPING_PINS = {
+    64: "7ccd8dc4d0fa56b010e90de3643d0d9026a929a7e38189de9ca53425148379f4",
+    128: "cc2acb0619c2fb496e535d7caa464663d14dd4b732e14deb41081b75fcd9a478",
+    256: "766ec3a4eea118a68276066ae492100840d640c30e6cc0c58b685a7b4054304f",
+}
+#: the same on dense uniform-random matrices (near-complete graphs)
+DENSE_MAPPING_PINS = {
+    64: "afcdf5679dc8ebc90b86f0a617ed6653acc689eefef3c0d3134a05cef3cb55ee",
+    128: "7865a6ec3769ec6ad562a298d399eb5593aa0a867bd331d7d9738b68f06c5f53",
+}
+
+#: blossom ``mate`` arrays: 200 random integer matrices, low weight ranges
+#: forcing ties, alternating the cardinality mode
+RANDOM_MATE_PIN = "46db3a7c9d050e35861b5c5dba1e54eeef93f8fa622e5f110fbc8698e477d01f"
+#: every weight equal, so the pairing is decided by scan order alone
+ALL_TIES_MATE_PINS = {
+    8: "f366d51b718610efe3f640a46db42178a60a2d723e4b1fbe39d7a2a2964303c5",
+    16: "a739a134a06b3083d7480d2054151a65e7c8534c0b7132c172278ac24a0f8649",
+    32: "f7910ce95ab7092d5728ba68b5df9ea7eb655575c9c0035a4350781768d4fc4b",
+    64: "6f0aa815bf6cb1be50d3959b60d93bde184634192bf5e4b8c35da849025d65ca",
+}
+#: 60 general (non-complete) graphs, both cardinality modes each
+SPARSE_MATE_PIN = "bbc49f5a465e09a450f64b09df566053255da32c3adaba40e5d565484b400898"
 
 
 def digest(value) -> str:
@@ -232,3 +265,70 @@ def test_random_stream_snapshot_digest():
         assert h.check_invariants() == []
         digests.append(hierarchy_digest(h))
     assert digest(tuple(digests)) == RANDOM_STREAM_PIN
+
+
+def random_symmetric_int(rng, n: int, hi: int) -> np.ndarray:
+    m = rng.integers(0, hi, size=(n, n)).astype(float)
+    m = np.triu(m, 1)
+    return m + m.T
+
+
+def complete_edges(m: np.ndarray) -> list:
+    n = m.shape[0]
+    return [(i, j, float(m[i, j])) for i in range(n) for j in range(i + 1, n)]
+
+
+def mapping_digest(n: int, matrix: np.ndarray) -> str:
+    machine = build_machine(*MAPPING_MACHINES[n], name=f"pin{n}")
+    return digest(tuple(int(pu) for pu in HierarchicalMapper(machine).map(matrix)))
+
+
+@pytest.mark.parametrize("n", list(MIXED_MAPPING_PINS))
+def test_mixed_pattern_mapping_digest(n):
+    detected = np.rint(mixed_pattern(n, 1000.0, 50.0))
+    assert mapping_digest(n, detected) == MIXED_MAPPING_PINS[n]
+
+
+@pytest.mark.parametrize("n", list(DENSE_MAPPING_PINS))
+def test_dense_mapping_digest(n):
+    dense = random_symmetric_int(np.random.default_rng(n), n, 1000)
+    assert mapping_digest(n, dense) == DENSE_MAPPING_PINS[n]
+
+
+def test_random_integer_mate_digest():
+    rng = np.random.default_rng(20130520)  # paper's conference date
+    mates = []
+    for trial in range(200):
+        n = int(rng.integers(4, 36))
+        # hi=1 gives the fully degenerate all-zeros matrix; hi=2 is almost
+        # all ties — the result is then decided purely by scan order.
+        hi = int(rng.choice([1, 2, 3, 8, 1000]))
+        edges = complete_edges(random_symmetric_int(rng, n, hi))
+        mates.append(tuple(_blossom_reference(edges, bool(trial % 2))))
+    assert digest(tuple(mates)) == RANDOM_MATE_PIN
+
+
+@pytest.mark.parametrize("n", list(ALL_TIES_MATE_PINS))
+def test_all_ties_mate_digest(n):
+    m = np.full((n, n), 7.0)
+    np.fill_diagonal(m, 0.0)
+    mate = tuple(_blossom_reference(complete_edges(m), True))
+    assert all(v >= 0 for v in mate)  # perfect
+    assert digest(mate) == ALL_TIES_MATE_PINS[n]
+
+
+def test_sparse_graph_mate_digest():
+    rng = np.random.default_rng(99)
+    mates = []
+    for _ in range(60):
+        n = int(rng.integers(6, 40))
+        nedges = min(int(rng.integers(n, 3 * n)), n * (n - 1) // 2)
+        pairs: set = set()
+        while len(pairs) < nedges:
+            i, j = sorted(rng.integers(0, n, 2).tolist())
+            if i != j:
+                pairs.add((i, j))
+        edges = [(i, j, float(rng.integers(0, 5))) for (i, j) in sorted(pairs)]
+        for maxcardinality in (False, True):
+            mates.append(tuple(_blossom_reference(edges, maxcardinality)))
+    assert digest(tuple(mates)) == SPARSE_MATE_PIN
