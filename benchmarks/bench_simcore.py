@@ -7,7 +7,7 @@ and on the core-sharded parallel engine (``REPRO_SIM_SHARDS=4``).
 Before timing anything the driver asserts that ``REPRO_SIM_SHARDS`` in
 {1, 2, 4} produces bit-identical :class:`SimulationResult` digests — the
 speedup numbers are meaningless if the engines diverge.  It also records
-the mapping-decision latency of the vectorised grouping + matching kernels
+the mapping-decision latency of the grouping fold + Edmonds matching
 at 32/128/512 simulated threads (the Schulz & Woydt scaling axis), and
 emits everything as ``BENCH_simcore.json``.
 
@@ -144,7 +144,7 @@ def test_bench_simcore(results_dir):
     """Drive the simulator-core benchmark and emit ``BENCH_simcore.json``."""
     payload = run_simcore_bench()
     emit(results_dir, "BENCH_simcore.json", json.dumps(payload, indent=2))
-    # The vectorised mapping kernels must decide a 512-thread mapping
+    # The grouping + Edmonds mapper must decide a 512-thread mapping
     # within the paper's online budget.
     assert payload["mapping_latency_s"]["512"] <= 1.0
     # Sharded wall-clock only beats serial when the workers get real

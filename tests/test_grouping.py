@@ -92,3 +92,46 @@ class TestBuildHierarchy:
     def test_rejects_shrinking(self):
         with pytest.raises(MappingError):
             build_hierarchy(chain_pattern(4), 1, start=[(0, 1), (2, 3)])
+
+
+def _random_symmetric_int(rng, n, hi):
+    m = rng.integers(0, hi, size=(n, n)).astype(float)
+    m = np.triu(m, 1)
+    return m + m.T
+
+
+def test_group_matrix_fold_matches_indicator_product():
+    """Equal-size gather-fold equals the indicator matmul exactly on ints."""
+    rng = np.random.default_rng(11)
+    for n, size in ((16, 2), (32, 4), (64, 8)):
+        comm = _random_symmetric_int(rng, n, 100)
+        perm = rng.permutation(n)
+        groups = [tuple(perm[i: i + size].tolist()) for i in range(0, n, size)]
+        fast = group_matrix(comm, groups)
+        g = len(groups)
+        indicator = np.zeros((g, n))
+        for a, members in enumerate(groups):
+            indicator[a, list(members)] = 1.0
+        ref = indicator @ comm @ indicator.T
+        np.fill_diagonal(ref, 0.0)
+        assert np.array_equal(fast, ref)
+
+
+def test_group_matrix_still_validates_members():
+    comm = np.zeros((4, 4))
+    with pytest.raises(MappingError):
+        group_matrix(comm, [(0, 1), (2, 9)])
+    with pytest.raises(MappingError):
+        group_matrix(comm, [(0, 1), (1, 2)])
+
+
+def test_build_hierarchy_unchanged_semantics():
+    """Pairing rounds still produce the documented pairing-tree encoding."""
+    rng = np.random.default_rng(2)
+    n = 16
+    comm = _random_symmetric_int(rng, n, 30)
+    groups = build_hierarchy(comm, 4)
+    assert len(groups) == 4 and all(len(g) == 4 for g in groups)
+    assert sorted(t for g in groups for t in g) == list(range(n))
+    # one round of pairing halves the group count
+    assert len(pair_groups(comm, groups)) == 2

@@ -179,3 +179,21 @@ class TestGreedy:
     def test_greedy_rejects_odd(self):
         with pytest.raises(MatchingError):
             greedy_matching(np.zeros((5, 5)))
+
+
+def _random_symmetric_int(rng, n, hi):
+    m = rng.integers(0, hi, size=(n, n)).astype(float)
+    m = np.triu(m, 1)
+    return m + m.T
+
+
+def test_perfect_matching_n64_is_optimal():
+    """n=64 perfect matching: full cover, at least the greedy weight."""
+    rng = np.random.default_rng(17)
+    n = 64
+    m = _random_symmetric_int(rng, n, 50)
+    pairs = max_weight_perfect_matching(m)
+    assert len(pairs) == n // 2
+    assert sorted(t for p in pairs for t in p) == list(range(n))
+    # optimal ≥ greedy (greedy is a 1/2-approximation)
+    assert matching_weight(m, pairs) >= matching_weight(m, greedy_matching(m))
