@@ -144,7 +144,7 @@ _EMPTY_REGION = -1
 #: batches at or below this size take the scalar replay path: at steady
 #: state a thread batch produces only a handful of faults, where the fixed
 #: cost of the vectorised pass (hash, np.unique, fancy indexing) exceeds a
-#: direct per-fault replay.  Purely a performance knob — both paths are
+#: direct per-fault replay.  Purely a performance threshold — both paths are
 #: bit-identical, so the cutover never changes results.
 _SCALAR_TOUCH_MAX = 12
 
@@ -167,26 +167,13 @@ class ArrayShareTable:
     updates bit for bit.
     """
 
-    def __init__(
-        self,
-        size: int = DEFAULT_TABLE_SIZE,
-        n_threads: int = 1,
-        *,
-        scalar_touch_max: "int | None" = None,
-    ) -> None:
+    def __init__(self, size: int = DEFAULT_TABLE_SIZE, n_threads: int = 1) -> None:
         if size <= 0:
             raise ConfigurationError("table size must be positive")
         if n_threads <= 0:
             raise ConfigurationError("need at least one thread")
-        if scalar_touch_max is not None and scalar_touch_max < 0:
-            raise ConfigurationError("scalar_touch_max must be >= 0")
         self.size = size
         self.n_threads = n_threads
-        #: batch-size cutover below which touch_batch replays scalarly
-        #: (``RunSettings.batch_cutover_touch`` when plumbed from settings)
-        self.scalar_touch_max = (
-            _SCALAR_TOUCH_MAX if scalar_touch_max is None else scalar_touch_max
-        )
         self._region = np.full(size, _EMPTY_REGION, dtype=np.int64)
         #: biased timestamps: value v != 0 means last access at time v - 1
         self._last = np.zeros((size, n_threads), dtype=np.int64)
@@ -219,7 +206,7 @@ class ArrayShareTable:
         m = int(regions.size)
         if m == 0:
             return np.empty(0, dtype=np.int64), 0
-        if m <= self.scalar_touch_max:
+        if m <= _SCALAR_TOUCH_MAX:
             partners: list[int] = []
             windowed_out = 0
             for region in regions.tolist():

@@ -42,9 +42,8 @@ from repro.units import MSEC, PAGE_SIZE
 
 _log = logging.getLogger(__name__)
 
-#: standalone-default for the Edmonds -> hierarchical auto-switch; mirrors
-#: ``RunSettings.map_hierarchical_min_n`` (the simulator threads the settings
-#: value through ``SpcdConfig.hierarchical_min_n``)
+#: default thread count of the Edmonds -> hierarchical auto-switch, used
+#: when ``SpcdConfig.hierarchical_min_n`` is None
 DEFAULT_HIERARCHICAL_MIN_N = 128
 
 
@@ -116,7 +115,7 @@ class SpcdConfig:
     detect_cost_ns: float = 250.0
     clear_cost_ns: float = 150.0
     #: detection engine: "array" (vectorised fast engine), "dict" (per-fault
-    #: reference engine), or None to follow ``REPRO_SLOW_SPCD``
+    #: reference engine), or None to follow the run's ``slow_spcd`` setting
     detector_engine: str | None = None
     #: also perform SPCD-driven *data* mapping (NUMA page migration) — the
     #: extension the paper names in Sec. IV; see repro.core.datamap
@@ -127,12 +126,10 @@ class SpcdConfig:
     #: > thread-count auto-switch)
     mapper_algorithm: str | None = None
     #: auto-switch to the hierarchical mapper at this thread count; None
-    #: uses :data:`DEFAULT_HIERARCHICAL_MIN_N` (the simulator threads
-    #: ``REPRO_MAP_HIERARCHICAL_MIN_N`` through here)
+    #: uses :data:`DEFAULT_HIERARCHICAL_MIN_N`
     hierarchical_min_n: int | None = None
     #: store the detection matrix as a
-    #: :class:`~repro.graphs.sparse.SparseCommMatrix` (digest-identical;
-    #: ``REPRO_SPARSE_COMM``)
+    #: :class:`~repro.graphs.sparse.SparseCommMatrix` (digest-identical)
     sparse_matrix: bool = False
 
 
@@ -170,7 +167,6 @@ class SpcdManager:
         timer_wheel: TimerWheel | None = None,
         config: SpcdConfig | None = None,
         recorder: TraceRecorder | None = None,
-        scalar_touch_max: "int | None" = None,
         placement: PlacementPolicy | None = None,
     ) -> None:
         self.machine = machine
@@ -193,7 +189,6 @@ class SpcdManager:
             detect_cost_ns=cfg.detect_cost_ns,
             pipeline=pipeline,
             engine=cfg.detector_engine,
-            scalar_touch_max=scalar_touch_max,
             sparse_matrix=cfg.sparse_matrix,
         )
         self.injector = FaultInjector(
@@ -272,7 +267,7 @@ class SpcdManager:
         if self.n_threads >= min_n:
             _log.info(
                 "mapping: auto-selected the hierarchical mapper "
-                "(n_threads=%d >= REPRO_MAP_HIERARCHICAL_MIN_N=%d); "
+                "(n_threads=%d >= hierarchical_min_n=%d); "
                 "Edmonds matching would be O(n^3) here",
                 self.n_threads,
                 min_n,

@@ -22,13 +22,10 @@ from dataclasses import dataclass, fields, replace
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "ENV_BATCH_CUTOVER_RESOLVE",
-    "ENV_BATCH_CUTOVER_TOUCH",
     "ENV_CELL_RETRIES",
     "ENV_CELL_TIMEOUT",
     "ENV_GRID_STRICT",
     "ENV_GRID_WORKERS",
-    "ENV_MAP_HIERARCHICAL_MIN_N",
     "ENV_PLACEMENT_WALK",
     "ENV_PLACEMENT_WALK_LOCAL_NS",
     "ENV_PLACEMENT_WALK_REMOTE_NS",
@@ -46,7 +43,6 @@ __all__ = [
     "ENV_SERVE_WORKERS",
     "ENV_SIM_SHARDS",
     "ENV_SLOW_SPCD",
-    "ENV_SPARSE_COMM",
     "ENV_TRACE",
     "RunSettings",
     "available_cpus",
@@ -62,10 +58,6 @@ ENV_TRACE = "REPRO_TRACE"
 ENV_SLOW_SPCD = "REPRO_SLOW_SPCD"
 #: coherence-stripe worker processes per simulation (1 = single-process)
 ENV_SIM_SHARDS = "REPRO_SIM_SHARDS"
-#: largest sharing-table touch batch handled by the scalar path
-ENV_BATCH_CUTOVER_TOUCH = "REPRO_BATCH_CUTOVER_TOUCH"
-#: largest fault batch resolved by the scalar path
-ENV_BATCH_CUTOVER_RESOLVE = "REPRO_BATCH_CUTOVER_RESOLVE"
 #: per-cell wall-clock timeout in seconds (unset = no timeout)
 ENV_CELL_TIMEOUT = "REPRO_CELL_TIMEOUT_S"
 #: retries after a cell's first failed attempt (default 2)
@@ -100,11 +92,6 @@ ENV_PLACEMENT_WALK_LOCAL_NS = "REPRO_PLACEMENT_WALK_LOCAL_NS"
 ENV_PLACEMENT_WALK_REMOTE_NS = "REPRO_PLACEMENT_WALK_REMOTE_NS"
 #: force per-node page-table replication from the first fault on
 ENV_PT_REPLICATE = "REPRO_PT_REPLICATE"
-#: store detection matrices sparsely (dict-of-rows, digest-identical)
-ENV_SPARSE_COMM = "REPRO_SPARSE_COMM"
-#: thread count at which mapping auto-switches from Edmonds matching to
-#: the scalable hierarchical partitioner
-ENV_MAP_HIERARCHICAL_MIN_N = "REPRO_MAP_HIERARCHICAL_MIN_N"
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("", "0", "false", "no", "off")
@@ -143,15 +130,22 @@ def _env_int(environ: "dict[str, str] | None", name: str, default: int) -> int:
 
 
 def _env_float(
-    environ: "dict[str, str] | None", name: str, default: "float | None"
+    environ: "dict[str, str] | None",
+    name: str,
+    default: "float | None",
+    *,
+    positive: bool = False,
 ) -> "float | None":
     raw = _get(environ, name)
     if not raw:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigurationError(f"bad {name} value {raw!r}") from exc
+    if positive and not value > 0:
+        raise ConfigurationError(f"bad {name} value {raw!r} (must be positive)")
+    return value
 
 
 @dataclass(frozen=True)
@@ -173,10 +167,6 @@ class RunSettings:
     slow_spcd: bool = False
     #: coherence-stripe worker processes per simulation; 1 = single-process
     sim_shards: int = 1
-    #: batches of at most this many sharing-table touches stay scalar
-    batch_cutover_touch: int = 12
-    #: fault batches of at most this many faults stay scalar
-    batch_cutover_resolve: int = 4
     #: per-cell wall-clock timeout in seconds; ``None`` = no timeout
     cell_timeout_s: "float | None" = None
     #: retries after a cell's first failed attempt (0 = fail immediately)
@@ -223,13 +213,6 @@ class RunSettings:
     #: (policy-independent Mitosis baseline; ``spcd-replicated`` instead
     #: replicates when its first placement decision directs it)
     pt_replicate: bool = False
-    #: store detection matrices as :class:`~repro.graphs.sparse.SparseCommMatrix`
-    #: (bit-identical digests; O(nnz) memory and mapper input at scale)
-    sparse_comm: bool = False
-    #: thread count at which the SPCD manager auto-selects the scalable
-    #: hierarchical mapper over Edmonds matching (paper-scale runs — and
-    #: their digests — sit below the default and are untouched)
-    map_hierarchical_min_n: int = 128
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -244,10 +227,6 @@ class RunSettings:
             raise ConfigurationError("sim_shards must be >= 1")
         if self.sim_shards & (self.sim_shards - 1):
             raise ConfigurationError("sim_shards must be a power of two")
-        if self.batch_cutover_touch < 0:
-            raise ConfigurationError("batch_cutover_touch must be >= 0")
-        if self.batch_cutover_resolve < 0:
-            raise ConfigurationError("batch_cutover_resolve must be >= 0")
         if not 0 <= self.serve_port <= 65535:
             raise ConfigurationError("serve_port must be in [0, 65535]")
         if self.serve_metrics_port is not None and not 0 <= self.serve_metrics_port <= 65535:
@@ -268,8 +247,6 @@ class RunSettings:
             raise ConfigurationError("placement_walk_local_ns must be positive (or None)")
         if self.placement_walk_remote_ns is not None and self.placement_walk_remote_ns <= 0:
             raise ConfigurationError("placement_walk_remote_ns must be positive (or None)")
-        if self.map_hierarchical_min_n < 2:
-            raise ConfigurationError("map_hierarchical_min_n must be >= 2")
 
     @classmethod
     def from_env(cls, environ: "dict[str, str] | None" = None) -> "RunSettings":
@@ -301,8 +278,6 @@ class RunSettings:
             trace=_get(environ, ENV_TRACE) or None,
             slow_spcd=_env_bool(environ, ENV_SLOW_SPCD),
             sim_shards=_env_int(environ, ENV_SIM_SHARDS, 1),
-            batch_cutover_touch=_env_int(environ, ENV_BATCH_CUTOVER_TOUCH, 12),
-            batch_cutover_resolve=_env_int(environ, ENV_BATCH_CUTOVER_RESOLVE, 4),
             cell_timeout_s=_env_float(environ, ENV_CELL_TIMEOUT, None),
             cell_retries=_env_int(environ, ENV_CELL_RETRIES, 2),
             retry_backoff_s=_env_float(environ, ENV_RETRY_BACKOFF, 0.25) or 0.0,
@@ -315,7 +290,9 @@ class RunSettings:
                 else None
             ),
             serve_max_sessions=_env_int(environ, ENV_SERVE_MAX_SESSIONS, 64),
-            serve_max_table_mb=_env_float(environ, ENV_SERVE_MAX_TABLE_MB, 64.0) or 64.0,
+            serve_max_table_mb=_env_float(
+                environ, ENV_SERVE_MAX_TABLE_MB, 64.0, positive=True
+            ),
             serve_shards=_env_int(environ, ENV_SERVE_SHARDS, 4),
             serve_eval_every=_env_int(environ, ENV_SERVE_EVAL_EVERY, 8192),
             serve_credit_window=_env_int(environ, ENV_SERVE_CREDIT_WINDOW, 65536),
@@ -326,8 +303,6 @@ class RunSettings:
                 environ, ENV_PLACEMENT_WALK_REMOTE_NS, None
             ),
             pt_replicate=_env_bool(environ, ENV_PT_REPLICATE),
-            sparse_comm=_env_bool(environ, ENV_SPARSE_COMM),
-            map_hierarchical_min_n=_env_int(environ, ENV_MAP_HIERARCHICAL_MIN_N, 128),
         )
 
     def with_overrides(self, **overrides: object) -> "RunSettings":

@@ -187,7 +187,6 @@ class Simulator:
             frames,
             self.tlbs,
             node_of_pu=self.machine.numa_node_of,
-            scalar_resolve_max=self.settings.batch_cutover_resolve,
         )
         # NUMA-aware page-table-walk charging (REPRO_PLACEMENT_WALK):
         # enabled before the pretouch so the serial init phase homes the
@@ -206,8 +205,8 @@ class Simulator:
                 else numa.pt_walk_level_ns(local=False)
             )
             self.pipeline.enable_numa_walk(local_ns, remote_ns)
-        #: REPRO_SLOW_SPCD=1 keeps the per-fault reference path end to end
-        #: (scalar resolution loop + dict detection engine)
+        #: ``settings.slow_spcd`` keeps the per-fault reference path end to
+        #: end (scalar resolution loop + dict detection engine)
         self._batch_faults = not self.settings.slow_spcd
         self.hierarchy = CoherentHierarchy(self.machine)
         self.time_model = TimeModel(self.machine, params=self.config.time_params)
@@ -224,17 +223,14 @@ class Simulator:
         if self.placement.uses_spcd:
             if not isinstance(self.scheduler, PinnedScheduler):
                 raise SimulationError("SPCD requires a pinnable scheduler")
-            # Settings flow into the SPCD config, but only where the config
-            # left the knob at its default — an explicit SpcdConfig wins, and
-            # default runs keep default semantics (and digests) untouched.
+            # The detector engine follows this run's settings, not the
+            # environment, unless the SpcdConfig names one explicitly.
             effective_spcd = spcd_config or SpcdConfig()
-            overrides: dict[str, object] = {}
-            if self.settings.sparse_comm and not effective_spcd.sparse_matrix:
-                overrides["sparse_matrix"] = True
-            if effective_spcd.hierarchical_min_n is None:
-                overrides["hierarchical_min_n"] = self.settings.map_hierarchical_min_n
-            if overrides:
-                effective_spcd = dataclasses.replace(effective_spcd, **overrides)
+            if effective_spcd.detector_engine is None:
+                effective_spcd = dataclasses.replace(
+                    effective_spcd,
+                    detector_engine="dict" if self.settings.slow_spcd else "array",
+                )
             self.manager = SpcdManager(
                 self.machine,
                 n,
@@ -245,7 +241,6 @@ class Simulator:
                 timer_wheel=self.wheel,
                 config=effective_spcd,
                 recorder=self.recorder,
-                scalar_touch_max=self.settings.batch_cutover_touch,
                 placement=self.placement,
             )
         self.trace = TraceCollector() if self.config.collect_trace else None

@@ -17,12 +17,12 @@ subsystem grows the reproduction toward the ROADMAP's irregular regime:
   a dict-of-rows sparse backend behind the
   :class:`~repro.core.commmatrix.CommunicationMatrix` interface,
   bit-identical to the dense backend on add/merge/decay/digest/CSV
-  (``REPRO_SPARSE_COMM`` selects it for detection);
+  (``SpcdConfig.sparse_matrix`` selects it for detection);
 * :mod:`repro.graphs.hiermap` — :class:`~repro.graphs.hiermap.ScalableHierarchicalMapper`,
   Schulz/Woydt-style shared-memory hierarchical process mapping by
   recursive bisection + local search over the machine's topology tree,
   registered beside the Edmonds blossom engine
-  (``REPRO_MAP_HIERARCHICAL_MIN_N`` auto-selects it at scale).
+  (``SpcdConfig.hierarchical_min_n`` auto-selects it at scale).
 """
 
 from repro.graphs.graph import (

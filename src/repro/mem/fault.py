@@ -143,7 +143,6 @@ class FaultPipeline:
         node_of_pu: Callable[[int], int],
         first_touch_cost_ns: float = 2500.0,
         injected_cost_ns: float = 900.0,
-        scalar_resolve_max: "int | None" = None,
     ) -> None:
         self.address_space = address_space
         self.frames = frames
@@ -151,11 +150,6 @@ class FaultPipeline:
         self.node_of_pu = node_of_pu
         self.first_touch_cost_ns = first_touch_cost_ns
         self.injected_cost_ns = injected_cost_ns
-        #: batch-size cutover below which handle_fault_batch resolves
-        #: scalarly (``RunSettings.batch_cutover_resolve`` when plumbed)
-        self.scalar_resolve_max = (
-            _SCALAR_RESOLVE_MAX if scalar_resolve_max is None else scalar_resolve_max
-        )
         self._hooks: list[FaultHook] = []
         self._batch_hooks: list[FaultBatchHook] = []
         #: when True, each fault's page-table walk additionally charges
@@ -308,7 +302,7 @@ class FaultPipeline:
         """
         vaddrs = np.asarray(vaddrs, dtype=np.int64)
         is_write = np.asarray(is_write, dtype=bool)
-        if vaddrs.size <= self.scalar_resolve_max:
+        if vaddrs.size <= _SCALAR_RESOLVE_MAX:
             return self._handle_small_batch(thread_id, pu_id, vaddrs, is_write, now_ns)
         all_vpns = vaddrs >> PAGE_SHIFT
         vpns, first = np.unique(all_vpns, return_index=True)

@@ -240,7 +240,7 @@ class HierThreadPlacementPolicy(ThreadPlacementPolicy):
     differs (:class:`~repro.graphs.hiermap.ScalableHierarchicalMapper`,
     recursive bisection + local search instead of Edmonds matching).  Use
     it to force the scalable engine below the
-    ``REPRO_MAP_HIERARCHICAL_MIN_N`` auto-switch, e.g. for quality
+    ``SpcdConfig.hierarchical_min_n`` auto-switch, e.g. for quality
     comparisons at paper scale.
     """
 

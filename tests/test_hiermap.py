@@ -9,13 +9,13 @@ same mapping, including under exact ties.
 import numpy as np
 import pytest
 
+from repro.core.manager import SpcdConfig
 from repro.core.mapping import (
     MAPPER_ALGORITHMS,
     HierarchicalMapper,
     make_mapper,
     mapping_comm_cost,
 )
-from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.errors import MappingError
 from repro.graphs.hiermap import ScalableHierarchicalMapper
@@ -199,21 +199,17 @@ class TestSelection:
         assert isinstance(sim.manager.mapper, ScalableHierarchicalMapper)
 
     def test_auto_switch_at_threshold(self, caplog):
-        settings = RunSettings(map_hierarchical_min_n=8)
         with caplog.at_level("INFO", logger="repro.core.manager"):
             sim = Simulator(make_npb("CG", 8), "spcd", seed=1, config=self.CFG,
-                            settings=settings)
+                            spcd_config=SpcdConfig(hierarchical_min_n=8))
         assert sim.manager.mapper_algorithm == "hierarchical"
         assert any("auto-selected the hierarchical mapper" in r.message
                    for r in caplog.records)
 
     def test_explicit_config_beats_auto_switch(self):
-        from repro.core.manager import SpcdConfig
-
-        settings = RunSettings(map_hierarchical_min_n=2)
         sim = Simulator(make_npb("CG", 8), "spcd", seed=1, config=self.CFG,
-                        settings=settings,
-                        spcd_config=SpcdConfig(mapper_algorithm="edmonds"))
+                        spcd_config=SpcdConfig(mapper_algorithm="edmonds",
+                                               hierarchical_min_n=2))
         assert sim.manager.mapper_algorithm == "edmonds"
 
     def test_spcd_hier_run_matches_spcd_at_paper_scale(self):

@@ -13,6 +13,7 @@ from repro.engine.settings import (
     ENV_GRID_WORKERS,
     ENV_RESULT_CACHE,
     ENV_RETRY_BACKOFF,
+    ENV_SERVE_MAX_TABLE_MB,
     ENV_SERVE_WORKERS,
     ENV_SLOW_SPCD,
     ENV_TRACE,
@@ -93,6 +94,7 @@ def test_serve_workers_from_env():
         {ENV_CELL_RETRIES: "2.5"},
         {ENV_RETRY_BACKOFF: "fast"},
         {ENV_GRID_STRICT: "kinda"},
+        {ENV_SERVE_MAX_TABLE_MB: "0"},
     ],
 )
 def test_garbage_env_values_raise(env):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.commmatrix import CommunicationMatrix
-from repro.core.manager import matrix_digest
+from repro.core.manager import SpcdConfig, matrix_digest
 from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, Simulator
 from repro.errors import ConfigurationError
@@ -187,12 +187,13 @@ class TestReadSideViews:
 
 class TestEndToEnd:
     def test_sparse_run_digest_identical_to_dense(self):
-        """REPRO_SPARSE_COMM flips storage only: same detection, same run."""
+        """SpcdConfig.sparse_matrix flips storage only: same detection, same run."""
         cfg = EngineConfig(steps=80, batch_size=64)
         dense = Simulator(make_npb("CG", 8), "spcd", seed=11, config=cfg,
                           settings=RunSettings()).run()
         sparse = Simulator(make_npb("CG", 8), "spcd", seed=11, config=cfg,
-                           settings=RunSettings(sparse_comm=True)).run()
+                           settings=RunSettings(),
+                           spcd_config=SpcdConfig(sparse_matrix=True)).run()
         assert dense.exec_time_s == sparse.exec_time_s
         assert np.array_equal(dense.detected_matrix.matrix,
                               sparse.detected_matrix.matrix)

@@ -19,7 +19,8 @@ import pytest
 from repro.core.hashtable import ArrayShareTable, ShareTable, hash_64, hash_64_batch
 from repro.core.spcd import SpcdDetector
 from repro.engine.runner import run_single
-from repro.engine.simulator import EngineConfig
+from repro.engine.settings import RunSettings
+from repro.engine.simulator import EngineConfig, Simulator
 from repro.errors import ConfigurationError
 from repro.mem.addresspace import AddressSpace
 from repro.mem.fault import FaultPipeline
@@ -204,6 +205,24 @@ def test_engine_selection_follows_env(monkeypatch):
     assert isinstance(SpcdDetector(4, engine="dict").table, ShareTable)
     with pytest.raises(ConfigurationError):
         SpcdDetector(4, engine="bogus")
+
+
+@pytest.mark.parametrize(
+    "slow_spcd,env,engine,table",
+    [(True, "0", "dict", ShareTable), (False, "1", "array", ArrayShareTable)],
+)
+def test_explicit_settings_select_detector_engine(
+    slow_spcd, env, engine, table, monkeypatch
+):
+    """An explicit ``slow_spcd`` picks the detector engine, whatever
+    ``REPRO_SLOW_SPCD`` says."""
+    monkeypatch.setenv("REPRO_SLOW_SPCD", env)
+    sim = Simulator(
+        make_npb("CG", 8), "spcd", seed=1, config=EngineConfig(steps=1, batch_size=16),
+        settings=RunSettings(slow_spcd=slow_spcd),
+    )
+    assert sim.manager.detector.engine == engine
+    assert type(sim.manager.detector.table) is table
 
 
 # -- full simulations ---------------------------------------------------------
