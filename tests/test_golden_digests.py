@@ -31,8 +31,9 @@ from repro.engine.runner import run_single
 from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, SimulationResult
 from repro.machine.cache_params import CacheParams
-from repro.machine.topology import build_machine
-from repro.units import KIB
+from repro.machine.topology import build_machine, dual_xeon_e5_2650
+from repro.serve import EventBatch, SessionConfig, TenantSession
+from repro.units import KIB, MSEC, PAGE_SIZE
 from repro.workloads.npb import make_npb
 from repro.workloads.patterns import mixed_pattern
 from repro.workloads.producer_consumer import ProducerConsumerWorkload
@@ -332,3 +333,80 @@ def test_sparse_graph_mate_digest():
         for maxcardinality in (False, True):
             mates.append(tuple(_blossom_reference(edges, maxcardinality)))
     assert digest(tuple(mates)) == SPARSE_MATE_PIN
+
+
+#: serve-session stream: 32 threads in pairs, each batch 256 pages drawn
+#: with replacement from the pair's 64-page pool, so almost every event
+#: repeats a slot already touched in its own batch
+SERVE_THREADS = 32
+SERVE_BATCH_EVENTS = 256
+SERVE_POOL_PAGES = 64
+SERVE_ROUND_NS = 100 * MSEC
+SERVE_ROUNDS_PER_PHASE = 4
+SERVE_PHASES = 4
+SERVE_CONFIGS = {
+    "table32768": dict(table_size=32768, shards=4),
+    # 64 slots for 32 pools of 64 pages: mixed slots and overwrites everywhere
+    "table64": dict(table_size=64, shards=4),
+    "decay": dict(table_size=32768, shards=4, matrix_decay=0.9),
+}
+#: (matrix digest, final-mapping digest, collisions, inserts, windowed_out,
+#: comm_events) after the whole stream
+SERVE_PINS = {
+    "table32768": (
+        "2a9fa4c25e808b8a",
+        "8781af7b09f426140cc18014b8405c418ae572eb1a785243b1df8404f976d391",
+        0, 2048, 125696, 114057,
+    ),
+    "table64": (
+        "9a94d458c94e857f",
+        "45783d6da2e84af439979b3535ae2e5ab98a8dea9fe618c82c960698a56d2abc",
+        30980, 31044, 0, 4587,
+    ),
+    "decay": (
+        "9ad96d961451d5dd",
+        "97ac93a38c5e43b722591c4e48a4b1ca6fd6a97258342a382b20317bbf9774a7",
+        0, 2048, 125696, 114057,
+    ),
+}
+
+
+def serve_pair_stream(seed: int):
+    """``(tid, now_ns, vaddrs)`` batches: a fresh random pairing per phase.
+
+    Phases alternate between two sets of pools, so a pool revisited after a
+    phase still holds the stamps of its former users, some out of window.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = SERVE_THREADS // 2
+    round_index = 0
+    for phase in range(SERVE_PHASES):
+        order = rng.permutation(SERVE_THREADS)
+        pair_of = np.empty(SERVE_THREADS, dtype=np.int64)
+        pair_of[order] = np.arange(SERVE_THREADS) // 2
+        for _ in range(SERVE_ROUNDS_PER_PHASE):
+            now_ns = round_index * SERVE_ROUND_NS
+            for tid in rng.permutation(SERVE_THREADS).tolist():
+                pool = (phase % 2) * pairs + int(pair_of[tid])
+                pages = rng.integers(0, SERVE_POOL_PAGES, size=SERVE_BATCH_EVENTS)
+                yield tid, now_ns, (pool * SERVE_POOL_PAGES + pages) * PAGE_SIZE
+            round_index += 1
+
+
+@pytest.mark.parametrize("name", list(SERVE_PINS))
+def test_serve_session_digest(name):
+    cfg = SessionConfig(
+        n_threads=SERVE_THREADS, eval_every_events=4096, **SERVE_CONFIGS[name]
+    )
+    session = TenantSession("pin", cfg, dual_xeon_e5_2650())
+    for tid, now_ns, vaddrs in serve_pair_stream(seed=14):
+        session.ingest(EventBatch(tid=tid, now_ns=now_ns, vaddrs=vaddrs))
+    observed = (
+        session.final_digest(),
+        digest(tuple(int(p) for p in session.evaluator.current)),
+        session.table.collisions,
+        session.table.inserts,
+        session.windowed_out,
+        session.comm_events,
+    )
+    assert observed == SERVE_PINS[name]

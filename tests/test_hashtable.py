@@ -1,15 +1,19 @@
 """Tests for the SPCD sharing table and Linux hash function."""
 
+import numpy as np
 import pytest
 
 from repro.core.hashtable import (
     DEFAULT_TABLE_SIZE,
     GOLDEN_RATIO_64,
+    ArrayShareTable,
     ShareEntry,
     ShareTable,
     hash_64,
 )
 from repro.errors import ConfigurationError
+from repro.serve.session import ShardedShareTable
+from repro.units import MSEC
 
 
 class TestHash64:
@@ -117,3 +121,63 @@ class TestShareTable:
         for region in range(50_000):
             t.get_or_create(region)
         assert t.collisions / 50_000 < 0.12
+
+
+def reference_touch(table: ShareTable, regions, tid: int, now: int, window: int):
+    """Per-event ``get_or_create`` plus window scan (``SpcdDetector.on_fault``)."""
+    partners: list[int] = []
+    windowed_out = 0
+    for region in regions:
+        entry = table.get_or_create(int(region))
+        for other, last in entry.last_access.items():
+            if other == tid:
+                continue
+            if now - last <= window:
+                partners.append(other)
+            else:
+                windowed_out += 1
+        entry.touch(tid, now)
+    return partners, windowed_out
+
+
+def entry_state(entries) -> list:
+    return sorted((e.region, sorted(e.last_access.items())) for e in entries)
+
+
+class TestArrayEngineMatchesReference:
+    """Repeat-heavy batches through the array engines vs the dict engine."""
+
+    N_THREADS = 8
+    WINDOW = 250 * MSEC
+    #: table size -> shard count of the sharded table run beside it
+    SHARDS = {1: 1, 7: 7, 61: 61, 4096: 4}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("size", list(SHARDS))
+    def test_partners_and_state_match(self, size, seed):
+        rng = np.random.default_rng(seed * 1000 + size)
+        reference = ShareTable(size)
+        flat = ArrayShareTable(size, self.N_THREADS)
+        sharded = ShardedShareTable(size, self.N_THREADS, n_shards=self.SHARDS[size])
+        now = 0
+        for _ in range(80):
+            # often the same instant, sometimes a jump past the window
+            now += int(rng.choice([0, 0, 30 * MSEC, 120 * MSEC, 400 * MSEC]))
+            tid = int(rng.integers(0, self.N_THREADS))
+            pool = int(rng.choice([4, 24, 200]))
+            regions = rng.integers(0, pool, size=int(rng.integers(1, 301)))
+            expected, wout = reference_touch(reference, regions, tid, now, self.WINDOW)
+            partners, flat_wout = flat.touch_batch(regions, tid, now, self.WINDOW)
+            per_shard, sharded_wout = sharded.touch_batch(regions, tid, now, self.WINDOW)
+            sharded_partners = [j for _, p in per_shard for j in p.tolist()]
+            assert sorted(partners.tolist()) == sorted(expected)
+            assert sorted(sharded_partners) == sorted(expected)
+            assert flat_wout == sharded_wout == wout
+        for table in (flat, sharded):
+            assert table.collisions == reference.collisions
+            assert table.inserts == reference.inserts
+            assert table.shared_region_count() == reference.shared_region_count()
+        assert len(flat) == sum(len(s) for s in sharded.shards) == len(reference)
+        assert entry_state(flat.entries()) == entry_state(reference.entries())
+        sharded_entries = [e for s in sharded.shards for e in s.entries()]
+        assert entry_state(sharded_entries) == entry_state(reference.entries())
