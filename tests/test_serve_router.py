@@ -466,6 +466,42 @@ class TestRoutedParity:
 
         asyncio.run(scenario())
 
+    def test_negative_vaddr_rejected_before_the_ring(self, machine):
+        """The router answers a negative vaddr with ERROR and forwards nothing."""
+
+        async def scenario():
+            async with RoutedMappingServer(_config(), machine=machine) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                await protocol.write_frame(
+                    writer,
+                    protocol.encode(
+                        MsgType.HELLO,
+                        {
+                            "tenant": "neg",
+                            "n_threads": 4,
+                            "version": protocol.PROTOCOL_VERSION,
+                            "config": {"table_size": 4096},
+                        },
+                    ),
+                )
+                welcome = await protocol.read_frame(reader)
+                assert welcome.type is MsgType.WELCOME
+                await protocol.write_frame(
+                    writer,
+                    protocol.encode_events(
+                        0, 0, np.array([4096, -1], dtype=np.int64)
+                    ),
+                )
+                frame = await asyncio.wait_for(protocol.read_frame(reader), 10.0)
+                writer.close()
+                assert frame.type is MsgType.ERROR
+                assert "negative vaddr" in frame.payload["message"]
+                assert server.events_total == 0
+
+        asyncio.run(scenario())
+
     def test_metrics_expose_per_worker_gauges(self, machine):
         """The exposition carries per-worker routed/occupancy/fold series."""
 
