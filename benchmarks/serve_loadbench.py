@@ -72,7 +72,7 @@ async def _run_tenant(port: int, name: str, seed: int, events_per_thread: int):
 def _verify_tenant(machine, stream, summary, pushes) -> int:
     """Assert service/offline bit-parity for one tenant; return remaps."""
     cfg = SessionConfig.from_overrides(
-        SessionConfig(n_threads=N_THREADS, shards=4, eval_every_events=EVAL_EVERY),
+        SessionConfig(n_threads=N_THREADS, eval_every_events=EVAL_EVERY),
         OVERRIDES,
     )
     ref = offline_reference(stream, cfg, machine, flush_after=[len(stream) - 1])
@@ -101,7 +101,6 @@ async def run_load(n_tenants: int, events_per_thread: int, workers: int = 0) -> 
         metrics_port=None,
         max_sessions=max(8, n_tenants),
         max_table_mb=64.0,
-        shards=4,
         eval_every_events=EVAL_EVERY,
         credit_window=65536,
         drain_grace_s=5.0,

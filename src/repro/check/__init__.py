@@ -15,8 +15,7 @@ check, and their models:
 * :class:`~repro.engine.checkpoint.GridManifest` crash-resume vs
   :func:`manifest_prefix_model` — the documented durability contract
   evaluated over every byte-truncation of the file;
-* shard-count invariance (:class:`~repro.serve.session.ShardedShareTable`,
-  ``REPRO_SIM_SHARDS``) via :func:`session_shard_trace` /
+* simulator shard-count invariance (``REPRO_SIM_SHARDS``) via
   :func:`parsim_result_digest` digest sweeps, and TLB-shootdown ×
   fault-injection interleavings via :func:`check_tlb_fault_interleavings`;
 * page-table replica coherence
@@ -43,7 +42,7 @@ from repro.check.replica import (
     check_replica_interleavings,
     replica_alphabet,
 )
-from repro.check.sweeps import parsim_result_digest, session_shard_trace
+from repro.check.sweeps import parsim_result_digest
 from repro.check.truncate import (
     manifest_prefix_model,
     truncation_sweep,
@@ -63,7 +62,6 @@ __all__ = [
     "op_sequences",
     "replica_alphabet",
     "parsim_result_digest",
-    "session_shard_trace",
     "truncation_sweep",
     "with_duplicate_header",
     "with_midfile_header",

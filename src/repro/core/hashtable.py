@@ -211,38 +211,16 @@ class ArrayShareTable:
         if m == 0:
             return np.empty(0, dtype=np.int64), 0
         if m <= _SCALAR_TOUCH_MAX:
-            partners: list[int] = []
+            found: list[int] = []
             windowed_out = 0
             for region in regions.tolist():
                 js, wout = self.touch(region, tid, now_ns, window_ns)
-                partners.extend(js)
+                found.extend(js)
                 windowed_out += wout
-            return np.asarray(partners, dtype=np.int64), windowed_out
-        return self.touch_batch_at(self.slots_of(regions), regions, tid, now_ns, window_ns)
-
-    def touch_batch_at(
-        self,
-        slots: np.ndarray,
-        regions: np.ndarray,
-        tid: int,
-        now_ns: int,
-        window_ns: int,
-    ) -> tuple[np.ndarray, int]:
-        """:meth:`touch_batch` with the slot of each region precomputed.
-
-        A sharded deployment (:mod:`repro.serve.session`) hashes regions
-        against the *logical* table once, partitions them across shard
-        tables, and hands each shard its local slot indices — so the
-        partition is a slice of the single-table slot space and collisions,
-        inserts and communication events stay bit-identical to an unsharded
-        table of the logical size.  *slots* must be what the table's own
-        hash would produce for an unsharded table, or any consistent
-        partition of it.  Repeats of one region on a slot are folded into
-        one grouped touch; members of distinct regions sharing a slot
-        within the batch are replayed scalarly in fault order.
-        """
-        regions = np.asarray(regions, dtype=np.int64)
-        slots = np.asarray(slots, dtype=np.int64)
+            return np.asarray(found, dtype=np.int64), windowed_out
+        # Repeats of one region on a slot fold into one grouped touch;
+        # members of distinct regions sharing a slot replay in fault order.
+        slots = self.slots_of(regions)
         uniq, first, inverse, counts = np.unique(
             slots, return_index=True, return_inverse=True, return_counts=True
         )

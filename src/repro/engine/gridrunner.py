@@ -74,9 +74,6 @@ from repro.workloads.npb import make_npb
 __all__ = [
     "CellFailure",
     "GridResult",
-    "ResultCache",
-    "code_version",
-    "default_workers",
     "run_cell",
     "run_grid",
 ]
@@ -84,36 +81,6 @@ __all__ = [
 #: a workload in a grid: an NPB benchmark name, a zero-arg factory, or an
 #: explicit ``(name, factory)`` pair
 WorkloadSpec = "str | WorkloadFactory | tuple[str, WorkloadFactory]"
-
-#: sentinel distinguishing "not passed" from an explicit ``None``
-_UNSET = object()
-
-# names that moved to repro.engine.cache / repro.engine.settings; served
-# through the module-level __getattr__ deprecation shim below
-_MOVED = {
-    "ResultCache": "repro.engine.cache",
-    "code_version": "repro.engine.cache",
-    "default_workers": "repro.engine.settings (RunSettings.from_env().workers)",
-}
-
-
-def _deprecated_default_workers() -> int:
-    """Former ``REPRO_GRID_WORKERS`` reader; superseded by RunSettings."""
-    return RunSettings.from_env().workers
-
-
-def __getattr__(name: str):
-    if name in _MOVED:
-        warnings.warn(
-            f"repro.engine.gridrunner.{name} moved to {_MOVED[name]}; "
-            "the old import path will be removed in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if name == "default_workers":
-            return _deprecated_default_workers
-        return getattr(_cache_mod, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _resolve_spec(spec: "WorkloadSpec") -> tuple[str, WorkloadFactory]:
@@ -247,19 +214,6 @@ def _run_cell_job(payload: tuple) -> SimulationResult:
 # ---------------------------------------------------------------------------
 # settings / kwarg resolution
 # ---------------------------------------------------------------------------
-def _normalize_cache_kwarg(cache, cache_dir, func: str):
-    """Fold the deprecated ``cache_dir=`` spelling into ``cache=``."""
-    if cache_dir is not _UNSET:
-        warnings.warn(
-            f"{func}(cache_dir=...) is deprecated; pass cache=<dir or ResultCache>",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if cache is None:
-            cache = cache_dir
-    return cache
-
-
 def _effective_settings(settings: "RunSettings | None", **overrides) -> RunSettings:
     """Explicit kwargs > explicit ``settings`` > the environment."""
     base = settings if settings is not None else RunSettings.from_env()
@@ -287,7 +241,6 @@ def run_cell(
     cache: "object | None" = None,
     trace: "str | os.PathLike | None" = None,
     settings: "RunSettings | None" = None,
-    cache_dir=_UNSET,
 ) -> tuple[SimulationResult, bool]:
     """One grid cell, through the cache; returns ``(result, was_cached)``.
 
@@ -298,11 +251,7 @@ def run_cell(
     writes its JSONL trace to :func:`repro.obs.recorder.cell_trace_path`;
     cells served from the cache do not re-run and produce no trace.  The
     recorder never participates in the cache key.
-
-    .. deprecated:: 1.1
-       the ``cache_dir=`` keyword; spell it ``cache=``.
     """
-    cache = _normalize_cache_kwarg(cache, cache_dir, "run_cell")
     eff = _effective_settings(
         settings,
         cache_dir=None
@@ -442,7 +391,6 @@ def run_grid(
     retry_backoff_s: "float | None" = None,
     keep_runs: bool = False,
     progress: "Callable[[str], None] | None" = None,
-    cache_dir=_UNSET,
 ) -> GridResult:
     """Run a ``workloads x policies x reps`` grid of simulations.
 
@@ -474,15 +422,11 @@ def run_grid(
     ``grid-*.jsonl`` file for ``python -m repro.obs.report``.  Trace
     configuration is deliberately excluded from the cell cache keys:
     tracing never changes results.
-
-    .. deprecated:: 1.1
-       the ``cache_dir=`` keyword; spell it ``cache=``.
     """
     if reps <= 0:
         raise ConfigurationError("reps must be positive")
     if not workloads or not policies:
         raise ConfigurationError("run_grid needs at least one workload and one policy")
-    cache = _normalize_cache_kwarg(cache, cache_dir, "run_grid")
     eff = _effective_settings(
         settings,
         workers=workers,

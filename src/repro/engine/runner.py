@@ -8,7 +8,6 @@ normalisation against the OS baseline for the figures.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +26,6 @@ from repro.workloads.base import Workload
 from typing import Callable
 
 WorkloadFactory = Callable[[], Workload]
-
-#: sentinel distinguishing "not passed" from an explicit ``None``
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,6 @@ def run_replicated(
     cache: "object | None" = None,
     trace: "object | None" = None,
     settings: "RunSettings | None" = None,
-    cache_dir=_UNSET,
 ) -> ReplicatedResult:
     """Run *reps* repetitions with derived seeds; summarise every metric.
 
@@ -139,22 +134,10 @@ def run_replicated(
     :func:`repro.engine.gridrunner.run_grid` (same seed protocol, so the
     result is identical to the serial path) and inherits its fault
     tolerance: timeouts, retries and checkpointed resume.
-
-    .. deprecated:: 1.1
-       the ``cache_dir=`` keyword; spell it ``cache=``.
     """
     if reps <= 0:
         raise ConfigurationError("reps must be positive")
     policy = resolve_policy(policy)
-    if cache_dir is not _UNSET:
-        warnings.warn(
-            "run_replicated(cache_dir=...) is deprecated; "
-            "pass cache=<dir or ResultCache>",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if cache is None:
-            cache = cache_dir
     if trace is not None:
         base = settings if settings is not None else RunSettings.from_env()
         settings = base.with_overrides(trace=str(trace))

@@ -27,9 +27,6 @@ __all__ = [
     "ENV_GRID_STRICT",
     "ENV_GRID_WORKERS",
     "ENV_PLACEMENT_WALK",
-    "ENV_PLACEMENT_WALK_LOCAL_NS",
-    "ENV_PLACEMENT_WALK_REMOTE_NS",
-    "ENV_PT_REPLICATE",
     "ENV_RESULT_CACHE",
     "ENV_RETRY_BACKOFF",
     "ENV_SERVE_CREDIT_WINDOW",
@@ -39,7 +36,6 @@ __all__ = [
     "ENV_SERVE_MAX_TABLE_MB",
     "ENV_SERVE_METRICS_PORT",
     "ENV_SERVE_PORT",
-    "ENV_SERVE_SHARDS",
     "ENV_SERVE_WORKERS",
     "ENV_SIM_SHARDS",
     "ENV_SLOW_SPCD",
@@ -76,8 +72,6 @@ ENV_SERVE_METRICS_PORT = "REPRO_SERVE_METRICS_PORT"
 ENV_SERVE_MAX_SESSIONS = "REPRO_SERVE_MAX_SESSIONS"
 #: per-tenant detection-state memory cap, MiB
 ENV_SERVE_MAX_TABLE_MB = "REPRO_SERVE_MAX_TABLE_MB"
-#: sharing-table shards per session
-ENV_SERVE_SHARDS = "REPRO_SERVE_SHARDS"
 #: events between two mapping evaluations of a session
 ENV_SERVE_EVAL_EVERY = "REPRO_SERVE_EVAL_EVERY"
 #: credit window granted to each client, in events
@@ -86,12 +80,6 @@ ENV_SERVE_CREDIT_WINDOW = "REPRO_SERVE_CREDIT_WINDOW"
 ENV_SERVE_WORKERS = "REPRO_SERVE_WORKERS"
 #: charge NUMA-aware page-table-walk latency on every fault
 ENV_PLACEMENT_WALK = "REPRO_PLACEMENT_WALK"
-#: per-level walk latency when the directory page is node-local, ns
-ENV_PLACEMENT_WALK_LOCAL_NS = "REPRO_PLACEMENT_WALK_LOCAL_NS"
-#: per-level walk latency when the directory page is remote, ns
-ENV_PLACEMENT_WALK_REMOTE_NS = "REPRO_PLACEMENT_WALK_REMOTE_NS"
-#: force per-node page-table replication from the first fault on
-ENV_PT_REPLICATE = "REPRO_PT_REPLICATE"
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("", "0", "false", "no", "off")
@@ -189,8 +177,6 @@ class RunSettings:
     serve_max_sessions: int = 64
     #: per-tenant detection-state memory cap in MiB
     serve_max_table_mb: float = 64.0
-    #: sharing-table shards per serve session
-    serve_shards: int = 4
     #: events between two mapping evaluations of a serve session
     serve_eval_every: int = 8192
     #: per-client send window, in events (credit-based backpressure)
@@ -203,16 +189,6 @@ class RunSettings:
     #: charge NUMA-aware per-level page-table-walk latency on every fault
     #: (the Fig. 16 walk split); off keeps flat-cost digests bit-identical
     placement_walk: bool = False
-    #: per-level walk latency override when the directory page is local;
-    #: ``None`` derives it from the machine's :class:`NumaModel`
-    placement_walk_local_ns: "float | None" = None
-    #: per-level walk latency override when the directory page is remote;
-    #: ``None`` derives it from the machine's :class:`NumaModel`
-    placement_walk_remote_ns: "float | None" = None
-    #: activate per-node page-table replicas from the first fault on
-    #: (policy-independent Mitosis baseline; ``spcd-replicated`` instead
-    #: replicates when its first placement decision directs it)
-    pt_replicate: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -235,18 +211,12 @@ class RunSettings:
             raise ConfigurationError("serve_max_sessions must be >= 1")
         if self.serve_max_table_mb <= 0:
             raise ConfigurationError("serve_max_table_mb must be positive")
-        if self.serve_shards < 1:
-            raise ConfigurationError("serve_shards must be >= 1")
         if self.serve_eval_every < 1:
             raise ConfigurationError("serve_eval_every must be >= 1")
         if self.serve_credit_window < 1:
             raise ConfigurationError("serve_credit_window must be >= 1")
         if self.serve_workers < 1:
             raise ConfigurationError("serve_workers must be >= 1")
-        if self.placement_walk_local_ns is not None and self.placement_walk_local_ns <= 0:
-            raise ConfigurationError("placement_walk_local_ns must be positive (or None)")
-        if self.placement_walk_remote_ns is not None and self.placement_walk_remote_ns <= 0:
-            raise ConfigurationError("placement_walk_remote_ns must be positive (or None)")
 
     @classmethod
     def from_env(cls, environ: "dict[str, str] | None" = None) -> "RunSettings":
@@ -293,16 +263,10 @@ class RunSettings:
             serve_max_table_mb=_env_float(
                 environ, ENV_SERVE_MAX_TABLE_MB, 64.0, positive=True
             ),
-            serve_shards=_env_int(environ, ENV_SERVE_SHARDS, 4),
             serve_eval_every=_env_int(environ, ENV_SERVE_EVAL_EVERY, 8192),
             serve_credit_window=_env_int(environ, ENV_SERVE_CREDIT_WINDOW, 65536),
             serve_workers=_env_int(environ, ENV_SERVE_WORKERS, 1),
             placement_walk=_env_bool(environ, ENV_PLACEMENT_WALK),
-            placement_walk_local_ns=_env_float(environ, ENV_PLACEMENT_WALK_LOCAL_NS, None),
-            placement_walk_remote_ns=_env_float(
-                environ, ENV_PLACEMENT_WALK_REMOTE_NS, None
-            ),
-            pt_replicate=_env_bool(environ, ENV_PT_REPLICATE),
         )
 
     def with_overrides(self, **overrides: object) -> "RunSettings":

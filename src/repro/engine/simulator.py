@@ -162,18 +162,15 @@ class Simulator:
 
         n = workload.n_threads
         self.clock = VirtualClock()
-        # Page-table choice: replication-capable tables are created only
-        # when a policy or env knob asks for them, so default runs keep the
-        # plain table (and its digests) bit-identical.
+        # Page-table choice: a replication-capable table is created only
+        # when the policy asks for one, so default runs keep the plain
+        # table (and its digests) bit-identical.  It stays inactive until
+        # a PlacementDecision directs replication.
         page_table = None
-        if self.placement.replicate_pt or self.settings.pt_replicate:
+        if self.placement.replicate_pt:
             page_table = ReplicatedPageTable(
                 self.config.capacity_pages, self.machine.n_numa_nodes
             )
-            if self.settings.pt_replicate:
-                # Env-forced replication is active from the first fault;
-                # policy-directed replication waits for a PlacementDecision.
-                page_table.activate()
         self.address_space = AddressSpace(
             self.config.capacity_pages, page_table=page_table
         )
@@ -194,17 +191,9 @@ class Simulator:
         # all-walks-remote starting point Phoenix/Mitosis address.
         if self.settings.placement_walk:
             numa = NumaModel(self.machine)
-            local_ns = (
-                self.settings.placement_walk_local_ns
-                if self.settings.placement_walk_local_ns is not None
-                else numa.pt_walk_level_ns(local=True)
+            self.pipeline.enable_numa_walk(
+                numa.pt_walk_level_ns(local=True), numa.pt_walk_level_ns(local=False)
             )
-            remote_ns = (
-                self.settings.placement_walk_remote_ns
-                if self.settings.placement_walk_remote_ns is not None
-                else numa.pt_walk_level_ns(local=False)
-            )
-            self.pipeline.enable_numa_walk(local_ns, remote_ns)
         #: ``settings.slow_spcd`` keeps the per-fault reference path end to
         #: end (scalar resolution loop + dict detection engine)
         self._batch_faults = not self.settings.slow_spcd

@@ -19,8 +19,8 @@ inherited: they run on the lazily materialised dense view, which holds
 exactly the dense backend's payload.
 
 ``SpcdConfig.sparse_matrix`` selects this backend for the SPCD detector;
-everything downstream — ``ShardedShareTable`` folding, ``repro.serve``, the
-oracle — keeps working untouched because only the storage behind the
+everything downstream — matrix merging, ``repro.serve``, the oracle —
+keeps working untouched because only the storage behind the
 interface changes.
 """
 

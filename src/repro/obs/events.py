@@ -290,7 +290,6 @@ class ServeStart(TraceEvent):
     machine: str
     max_sessions: int
     max_table_mb: float
-    shards: int
     workers: int = 0
 
 
@@ -353,7 +352,6 @@ class ServeSessionStart(TraceEvent):
     session_id: int
     n_threads: int
     table_size: int
-    shards: int
     eval_every_events: int
     memory_bytes: int
 
@@ -363,7 +361,7 @@ class ServeEvaluation(TraceEvent):
     """One session evaluation tick: the serve twin of :class:`SpcdEvaluation`.
 
     ``verdict`` uses the same vocabulary; ``matrix_digest`` is the digest of
-    the shard-merged matrix the decision was computed from, which must match
+    the session matrix the decision was computed from, which must match
     the offline replay of the same stream bit for bit.  ``mapping`` is only
     present for ``migrated`` verdicts.
     """

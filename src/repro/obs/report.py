@@ -243,7 +243,6 @@ class ServeReport:
     port: int = 0
     machine: str = "?"
     max_sessions: int = 0
-    shards: int = 0
     #: detection worker processes (0 = single-process server)
     workers: int = 0
     #: worker process spawns seen (initial + respawns)
@@ -279,7 +278,6 @@ class ServeReport:
             "port": self.port,
             "machine": self.machine,
             "max_sessions": self.max_sessions,
-            "shards": self.shards,
             "workers": self.workers,
             "worker_spawns": self.worker_spawns,
             "worker_crashes": self.worker_crashes,
@@ -318,7 +316,6 @@ def reconstruct_serves(events: Iterable[dict[str, Any]]) -> list[ServeReport]:
                 port=int(ev.get("port", 0)),
                 machine=str(ev.get("machine", "?")),
                 max_sessions=int(ev.get("max_sessions", 0)),
-                shards=int(ev.get("shards", 0)),
                 workers=int(ev.get("workers", 0)),
             )
             serves.append(serve)
@@ -649,7 +646,7 @@ def _format_serve_table(serves: list[ServeReport]) -> str:
         topology = f", {s.workers} workers" if s.workers else ""
         lines.append(
             f"serve {s.host}:{s.port} on {s.machine} "
-            f"({s.shards} shards/session, cap {s.max_sessions}{topology}): "
+            f"(cap {s.max_sessions}{topology}): "
             f"{s.sessions_served} sessions, {s.sessions_refused} refused, "
             f"exit reason {s.reason}"
         )

@@ -2,10 +2,10 @@
 
 An asyncio daemon that turns the offline SPCD pipeline into a
 multi-tenant service: clients stream page-fault event batches over a
-length-prefixed framed protocol, each session runs the sharded detection
-pipeline (sharing table + communication matrix shards) and a periodic
-filter + hierarchical-mapper evaluation, and accepted remaps are pushed
-back as MAPPING frames.  The numeric path is engineered to stay
+length-prefixed framed protocol, each session runs the detection pipeline
+(one sharing table + one communication matrix) and a periodic filter +
+hierarchical-mapper evaluation, and accepted remaps are pushed back as
+MAPPING frames.  The numeric path is engineered to stay
 **bit-identical** to the offline engine — see
 :func:`repro.serve.evaluator.offline_reference` for the replay that pins
 it.
@@ -14,7 +14,7 @@ Layout:
 
 * :mod:`~repro.serve.protocol` — wire framing and the credit flow-control
   vocabulary;
-* :mod:`~repro.serve.session` — per-tenant sharded detection state;
+* :mod:`~repro.serve.session` — per-tenant detection state;
 * :mod:`~repro.serve.evaluator` — evaluation gates + the offline replay;
 * :mod:`~repro.serve.server` — the daemon (admission, backpressure,
   drain);
@@ -41,7 +41,7 @@ from repro.serve.metrics import MetricsRegistry
 from repro.serve.protocol import PROTOCOL_VERSION, EventBatch, Frame, MsgType
 from repro.serve.router import HashRing, RoutedMappingServer
 from repro.serve.server import MappingServer, ServeConfig
-from repro.serve.session import SessionConfig, ShardedShareTable, TenantSession
+from repro.serve.session import SessionConfig, TenantSession
 from repro.serve.shm import EventRing
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "ServeClient",
     "ServeConfig",
     "SessionConfig",
-    "ShardedShareTable",
     "TenantSession",
     "offline_reference",
     "synthetic_fault_stream",

@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-tenant detection-state memory cap (MiB)",
     )
-    parser.add_argument("--shards", type=int, default=None, help="table shards per session")
     parser.add_argument(
         "--eval-every",
         type=int,
@@ -93,7 +92,6 @@ def _resolve_config(args: argparse.Namespace, settings: RunSettings) -> ServeCon
         max_table_mb=(
             args.max_table_mb if args.max_table_mb is not None else base.max_table_mb
         ),
-        shards=args.shards if args.shards is not None else base.shards,
         eval_every_events=(
             args.eval_every if args.eval_every is not None else base.eval_every_events
         ),

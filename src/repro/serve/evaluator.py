@@ -12,13 +12,13 @@ stream carries its own virtual clock, so an event-count cadence makes every
 decision a pure function of the stream and therefore replayable.
 
 :func:`offline_reference` is that replay: it pushes the same event batches
-through an **unsharded** :class:`~repro.core.spcd.SpcdDetector` — the exact
-detection engine :class:`~repro.core.manager.SpcdManager` embeds — and a
-fresh evaluator at the same cadence.  With the service's default
-``matrix_decay = 1.0`` every matrix cell is an exact integer, so the
-sharded online pipeline and this offline reference produce **bit-identical
-matrix digests and identical mapping decisions** (pinned by
-``tests/test_serve.py`` and asserted by the load benchmark).
+through a :class:`~repro.core.spcd.SpcdDetector` — the exact detection
+engine :class:`~repro.core.manager.SpcdManager` embeds — and a fresh
+evaluator at the same cadence.  The online session keeps the same single
+table and single matrix and decays it at the same points, so the two
+produce **bit-identical matrix digests and identical mapping decisions**
+at any ``matrix_decay`` (pinned by ``tests/test_serve.py`` and asserted by
+the load benchmark).
 """
 
 from __future__ import annotations
@@ -233,20 +233,19 @@ def offline_reference(
     *,
     flush_after: "Sequence[int]" = (),
 ) -> ReplayResult:
-    """Replay an event stream through the unsharded offline pipeline.
+    """Replay an event stream through the offline detection pipeline.
 
     Feeds every batch to a single :class:`~repro.core.spcd.SpcdDetector`
     (the engine :class:`~repro.core.manager.SpcdManager` hooks into the
-    fault pipeline) sized to the session's *effective* (shard-rounded)
-    table, and evaluates with a fresh :class:`MappingEvaluator` at the same
-    event-count cadence the live session uses.  ``flush_after`` lists batch
+    fault pipeline) of the session's ``table_size``, and evaluates with a
+    fresh :class:`MappingEvaluator` at the same event-count cadence the
+    live session uses.  ``flush_after`` lists batch
     indices after which the live side issued a FLUSH, so forced evaluations
     replay at the same points.
 
     This is the acceptance reference: for any stream the service ingests,
-    the digests and mappings here must equal the served ones bit for bit
-    (``config.matrix_decay`` must be 1.0 for exactness; the service
-    default).
+    the digests and mappings here must equal the served ones bit for bit,
+    with or without ``matrix_decay``.
     """
     machine = machine or dual_xeon_e5_2650()
     cfg = config
@@ -254,7 +253,7 @@ def offline_reference(
         cfg.n_threads,
         granularity=cfg.granularity,
         window_ns=cfg.window_ns,
-        table_size=cfg.effective_table_size,
+        table_size=cfg.table_size,
         engine="array",
     )
     evaluator = MappingEvaluator(machine, cfg)

@@ -1,8 +1,8 @@
 """The asyncio mapping daemon: multi-tenant SPCD detection as a service.
 
 One event loop multiplexes every tenant connection.  Each accepted session
-gets a dedicated :class:`~repro.serve.session.TenantSession` (sharded
-table, shard matrices, evaluator) plus two tasks: a *reader* that only
+gets a dedicated :class:`~repro.serve.session.TenantSession` (sharing
+table, matrix, evaluator) plus two tasks: a *reader* that only
 decodes frames into the session's ingest queue, and a *processor* that
 owns all detection work and all writes on that connection.  The split
 keeps the wire protocol responsive while a large batch is being scattered,
@@ -57,7 +57,6 @@ class ServeConfig:
     metrics_port: "int | None" = None
     max_sessions: int = 64
     max_table_mb: float = 64.0
-    shards: int = 4
     eval_every_events: int = 8192
     credit_window: int = 65536
     #: seconds a drain waits for clients to finish before force-draining
@@ -82,7 +81,6 @@ class ServeConfig:
             metrics_port=settings.serve_metrics_port,
             max_sessions=settings.serve_max_sessions,
             max_table_mb=settings.serve_max_table_mb,
-            shards=settings.serve_shards,
             eval_every_events=settings.serve_eval_every,
             credit_window=settings.serve_credit_window,
             workers=settings.serve_workers,
@@ -182,7 +180,6 @@ class MappingServer:
                 machine=self.machine.name,
                 max_sessions=cfg.max_sessions,
                 max_table_mb=cfg.max_table_mb,
-                shards=cfg.shards,
                 workers=self.n_workers,
             )
         )
@@ -311,11 +308,7 @@ class MappingServer:
         overrides = payload.get("config", {})
         if not isinstance(overrides, dict):
             raise AdmissionError("HELLO config must be an object", code="bad-hello")
-        defaults = SessionConfig(
-            n_threads=n_threads,
-            shards=cfg.shards,
-            eval_every_events=cfg.eval_every_events,
-        )
+        defaults = SessionConfig(n_threads=n_threads, eval_every_events=cfg.eval_every_events)
         try:
             session_cfg = SessionConfig.from_overrides(defaults, overrides)
         except Exception as exc:  # noqa: BLE001 - any bad config is a refusal
@@ -382,8 +375,7 @@ class MappingServer:
                 tenant=session.tenant,
                 session_id=session.session_id,
                 n_threads=session.config.n_threads,
-                table_size=session.config.effective_table_size,
-                shards=session.config.shards,
+                table_size=session.config.table_size,
                 eval_every_events=session.config.eval_every_events,
                 memory_bytes=session.config.memory_bytes(),
             )
@@ -396,8 +388,7 @@ class MappingServer:
                     "tenant": session.tenant,
                     "version": protocol.PROTOCOL_VERSION,
                     "credits": self.config.credit_window,
-                    "table_size": session.config.effective_table_size,
-                    "shards": session.config.shards,
+                    "table_size": session.config.table_size,
                     "eval_every_events": session.config.eval_every_events,
                 },
             )

@@ -40,7 +40,6 @@ def _config():
         port=0,
         metrics_port=None,
         max_sessions=8,
-        shards=4,
         eval_every_events=1024,
         credit_window=65536,
         drain_grace_s=5.0,
@@ -53,7 +52,7 @@ def _config():
 
 def _reference(machine, stream, flush_after):
     cfg = SessionConfig.from_overrides(
-        SessionConfig(n_threads=N_THREADS, shards=4, eval_every_events=1024),
+        SessionConfig(n_threads=N_THREADS, eval_every_events=1024),
         OVERRIDES,
     )
     return offline_reference(stream, cfg, machine, flush_after=flush_after)

@@ -1,21 +1,16 @@
-"""Shard-count invariance: digests must be identical for every legal count.
+"""Simulator shard-count invariance: digests equal for every legal count.
 
-``session_shard_trace`` runs one TenantSession per shard count over the
-same stream; ``parsim_result_digest`` reduces a simulator run to one
-string.  The table size (840 = lcm(1..8)) divides evenly by every swept
-count, so ``effective_table_size`` — and the logical slot space — is
-the same everywhere and any digest difference indicts the partition.
-
-The fast tests sweep the serve-side table for shards 1..8 and the
-process-sharded simulator for the counts tier-1 already spawns; the
-``slow`` sweep covers every legal power-of-two up to ``max_shards``.
+``parsim_result_digest`` reduces a simulator run to one string.  The fast
+test sweeps the process-sharded simulator for the counts tier-1 already
+spawns; the ``slow`` sweep covers every legal power-of-two up to
+``max_shards``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.check import parsim_result_digest, session_shard_trace
+from repro.check import parsim_result_digest
 from repro.engine.parsim import max_shards
 from repro.engine.runner import run_single
 from repro.engine.settings import RunSettings
@@ -25,8 +20,6 @@ from repro.machine.topology import build_machine
 from repro.units import KIB
 from repro.workloads.producer_consumer import ProducerConsumerWorkload
 
-TABLE_SIZE = 840  # lcm(1..8): every swept shard count divides it
-
 
 def _small_machine():
     return build_machine(
@@ -35,32 +28,6 @@ def _small_machine():
         l2=CacheParams("L2", 8 * KIB, 2, 64, 6.0, 2),
         l3=CacheParams("L3", 16 * KIB, 4, 64, 15.0, 3),
     )
-
-
-def test_session_digest_invariant_for_every_shard_count(machine):
-    """ShardedShareTable: shards 1..8 all reproduce the same trace."""
-    traces = {
-        shards: session_shard_trace(
-            machine, shards=shards, table_size=TABLE_SIZE, seed=3
-        )
-        for shards in range(1, 9)
-    }
-    reference = traces[1]
-    assert reference["comm_events"] > 0  # the stream must exercise detection
-    assert reference["updates"], "sweep stream produced no mapping updates"
-    for shards, trace in traces.items():
-        assert trace == reference, f"shards={shards} diverged from shards=1"
-
-
-def test_session_digest_invariant_across_seeds(machine):
-    """A second stream shape agrees too (guards against a lucky seed)."""
-    for seed in (7, 11):
-        base = session_shard_trace(machine, shards=1, table_size=TABLE_SIZE, seed=seed)
-        for shards in (2, 5, 8):
-            trace = session_shard_trace(
-                machine, shards=shards, table_size=TABLE_SIZE, seed=seed
-            )
-            assert trace == base, f"seed={seed} shards={shards}"
 
 
 def _sim_digest(n_shards: "int | None") -> str:

@@ -147,18 +147,11 @@ class TestTopLevel:
 
 
 class TestDeprecationShims:
-    """The pre-1.1 import paths and kwargs keep working, with a warning."""
+    """The pre-1.1 gridrunner import shims and cache keyword are gone.
 
-    def test_gridrunner_module_shims_warn_but_resolve(self):
-        from repro.engine import cache, gridrunner, settings
-
-        with pytest.warns(DeprecationWarning, match="moved to repro.engine.cache"):
-            assert gridrunner.ResultCache is cache.ResultCache
-        with pytest.warns(DeprecationWarning, match="moved to repro.engine.cache"):
-            assert gridrunner.code_version is cache.code_version
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            workers = gridrunner.default_workers()
-        assert workers == settings.RunSettings.from_env().workers
+    ``ResultCache``/``code_version`` live in :mod:`repro.engine.cache`;
+    importing them, or ``run_cell``/``run_grid``, warns about nothing.
+    """
 
     def test_gridrunner_unknown_attribute_still_raises(self):
         from repro.engine import gridrunner
@@ -171,25 +164,6 @@ class TestDeprecationShims:
             warnings.simplefilter("error", DeprecationWarning)
             from repro.engine.cache import ResultCache, code_version  # noqa: F401
             from repro.engine.gridrunner import run_cell, run_grid  # noqa: F401
-
-    def test_cache_dir_kwarg_warns_and_works(self, tmp_path):
-        from functools import partial
-
-        from repro.engine.gridrunner import run_cell, run_grid
-        from repro.engine.runner import run_replicated
-        from repro.engine.simulator import EngineConfig
-        from repro.workloads.npb import make_npb
-
-        cfg = EngineConfig(steps=5, batch_size=32)
-        with pytest.warns(DeprecationWarning, match="cache_dir.*deprecated"):
-            run_cell("CG", "os", 0, base_seed=3, config=cfg, cache_dir=tmp_path)
-        with pytest.warns(DeprecationWarning, match="cache_dir.*deprecated"):
-            grid = run_grid(["CG"], ["os"], 1, base_seed=3, config=cfg,
-                            cache_dir=tmp_path)
-        assert grid.cache_hits == 1  # the deprecated spelling hit the same cache
-        with pytest.warns(DeprecationWarning, match="cache_dir.*deprecated"):
-            run_replicated(partial(make_npb, "CG"), "os", reps=1, base_seed=3,
-                           config=cfg, cache_dir=tmp_path)
 
 
 class TestMesiState:

@@ -345,10 +345,10 @@ SERVE_ROUND_NS = 100 * MSEC
 SERVE_ROUNDS_PER_PHASE = 4
 SERVE_PHASES = 4
 SERVE_CONFIGS = {
-    "table32768": dict(table_size=32768, shards=4),
+    "table32768": dict(table_size=32768),
     # 64 slots for 32 pools of 64 pages: mixed slots and overwrites everywhere
-    "table64": dict(table_size=64, shards=4),
-    "decay": dict(table_size=32768, shards=4, matrix_decay=0.9),
+    "table64": dict(table_size=64),
+    "decay": dict(table_size=32768, matrix_decay=0.9),
 }
 #: (matrix digest, final-mapping digest, collisions, inserts, windowed_out,
 #: comm_events) after the whole stream
@@ -364,7 +364,7 @@ SERVE_PINS = {
         30980, 31044, 0, 4587,
     ),
     "decay": (
-        "9ad96d961451d5dd",
+        "a54990d0549751b8",
         "97ac93a38c5e43b722591c4e48a4b1ca6fd6a97258342a382b20317bbf9774a7",
         0, 2048, 125696, 114057,
     ),

@@ -12,7 +12,6 @@ from repro.core.hashtable import (
     hash_64,
 )
 from repro.errors import ConfigurationError
-from repro.serve.session import ShardedShareTable
 from repro.units import MSEC
 
 
@@ -145,20 +144,17 @@ def entry_state(entries) -> list:
 
 
 class TestArrayEngineMatchesReference:
-    """Repeat-heavy batches through the array engines vs the dict engine."""
+    """Repeat-heavy batches through the array engine vs the dict engine."""
 
     N_THREADS = 8
     WINDOW = 250 * MSEC
-    #: table size -> shard count of the sharded table run beside it
-    SHARDS = {1: 1, 7: 7, 61: 61, 4096: 4}
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("size", list(SHARDS))
+    @pytest.mark.parametrize("size", [1, 7, 61, 4096])
     def test_partners_and_state_match(self, size, seed):
         rng = np.random.default_rng(seed * 1000 + size)
         reference = ShareTable(size)
         flat = ArrayShareTable(size, self.N_THREADS)
-        sharded = ShardedShareTable(size, self.N_THREADS, n_shards=self.SHARDS[size])
         now = 0
         for _ in range(80):
             # often the same instant, sometimes a jump past the window
@@ -168,16 +164,10 @@ class TestArrayEngineMatchesReference:
             regions = rng.integers(0, pool, size=int(rng.integers(1, 301)))
             expected, wout = reference_touch(reference, regions, tid, now, self.WINDOW)
             partners, flat_wout = flat.touch_batch(regions, tid, now, self.WINDOW)
-            per_shard, sharded_wout = sharded.touch_batch(regions, tid, now, self.WINDOW)
-            sharded_partners = [j for _, p in per_shard for j in p.tolist()]
             assert sorted(partners.tolist()) == sorted(expected)
-            assert sorted(sharded_partners) == sorted(expected)
-            assert flat_wout == sharded_wout == wout
-        for table in (flat, sharded):
-            assert table.collisions == reference.collisions
-            assert table.inserts == reference.inserts
-            assert table.shared_region_count() == reference.shared_region_count()
-        assert len(flat) == sum(len(s) for s in sharded.shards) == len(reference)
+            assert flat_wout == wout
+        assert flat.collisions == reference.collisions
+        assert flat.inserts == reference.inserts
+        assert flat.shared_region_count() == reference.shared_region_count()
+        assert len(flat) == len(reference)
         assert entry_state(flat.entries()) == entry_state(reference.entries())
-        sharded_entries = [e for s in sharded.shards for e in s.entries()]
-        assert entry_state(sharded_entries) == entry_state(reference.entries())

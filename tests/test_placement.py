@@ -29,7 +29,6 @@ from repro.mem.ptreplica import ReplicatedPageTable
 from repro.mem.tlb import TlbArray
 from repro.placement import (
     CombinedPlacementPolicy,
-    DataPlacementPolicy,
     PlacementDecision,
     PlacementPolicy,
     ReplicatedPlacementPolicy,
@@ -360,12 +359,6 @@ class TestPlacementRuns:
         # the replication bill lands in the Fig. 16 mapping bucket
         assert sim.manager.mapping_time_ns() >= sim.manager.replication_time_ns()
 
-    def test_pt_replicate_setting_activates_from_the_start(self):
-        sim, _ = run("spcd", settings=RunSettings(pt_replicate=True))
-        table = sim.address_space.page_table
-        assert isinstance(table, ReplicatedPageTable)
-        assert table.active and table.replicas_coherent()
-
     def test_policies_are_deterministic(self):
         for name in ("spcd-data", "spcd-combined", "spcd-replicated"):
             _, a = run(name, seed=11)
@@ -376,40 +369,21 @@ class TestPlacementRuns:
 class TestPlacementSettings:
     def test_env_knobs_route_through_runsettings(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLACEMENT_WALK", "1")
-        monkeypatch.setenv("REPRO_PLACEMENT_WALK_LOCAL_NS", "11.5")
-        monkeypatch.setenv("REPRO_PLACEMENT_WALK_REMOTE_NS", "99.0")
-        monkeypatch.setenv("REPRO_PT_REPLICATE", "1")
         settings = RunSettings.from_env()
         assert settings.placement_walk is True
-        assert settings.placement_walk_local_ns == 11.5
-        assert settings.placement_walk_remote_ns == 99.0
-        assert settings.pt_replicate is True
 
     def test_defaults_are_off(self):
         settings = RunSettings()
         assert settings.placement_walk is False
-        assert settings.placement_walk_local_ns is None
-        assert settings.placement_walk_remote_ns is None
-        assert settings.pt_replicate is False
 
-    def test_nonpositive_walk_latency_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RunSettings(placement_walk_local_ns=0.0)
-        with pytest.raises(ConfigurationError):
-            RunSettings(placement_walk_remote_ns=-1.0)
+    def test_walk_latencies_reach_the_table(self):
+        from repro.machine.numa import NumaModel
 
-    def test_walk_latency_overrides_reach_the_table(self):
-        sim, _ = run(
-            "spcd",
-            settings=RunSettings(
-                placement_walk=True,
-                placement_walk_local_ns=11.5,
-                placement_walk_remote_ns=99.0,
-            ),
-        )
+        sim, _ = run("spcd", settings=RunSettings(placement_walk=True))
+        numa = NumaModel(sim.machine)
         table = sim.address_space.page_table
-        assert table.level_local_ns == 11.5
-        assert table.level_remote_ns == 99.0
+        assert table.level_local_ns == numa.pt_walk_level_ns(local=True)
+        assert table.level_remote_ns == numa.pt_walk_level_ns(local=False)
 
 
 class TestPlacementDecision:

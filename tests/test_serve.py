@@ -1,4 +1,4 @@
-"""The mapping service: protocol, sharded parity, evaluator, metrics."""
+"""The mapping service: protocol, offline parity, evaluator, metrics."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core.hashtable import ArrayShareTable
 from repro.errors import ConfigurationError, ProtocolError
 from repro.serve import (
     EvalCadence,
@@ -16,15 +15,12 @@ from repro.serve import (
     MetricsRegistry,
     MsgType,
     SessionConfig,
-    ShardedShareTable,
     TenantSession,
     offline_reference,
     synthetic_fault_stream,
 )
 from repro.serve import protocol
 from repro.units import MSEC, PAGE_SIZE
-
-WINDOW = 250 * MSEC
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +152,12 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# session config + sharded table
+# session config
 # ---------------------------------------------------------------------------
 class TestSessionConfig:
-    def test_effective_table_size_rounds_up(self):
-        cfg = SessionConfig(n_threads=4, table_size=10, shards=4)
-        assert cfg.effective_table_size == 12
-
-    def test_effective_table_size_exact_multiple(self):
-        cfg = SessionConfig(n_threads=4, table_size=16, shards=4)
-        assert cfg.effective_table_size == 16
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SessionConfig(n_threads=1)
-        with pytest.raises(ConfigurationError):
-            SessionConfig(n_threads=4, shards=0)
         with pytest.raises(ConfigurationError):
             SessionConfig(n_threads=4, matrix_decay=0.0)
 
@@ -189,32 +175,6 @@ class TestSessionConfig:
         small = SessionConfig(n_threads=4, table_size=1000)
         large = SessionConfig(n_threads=4, table_size=100000)
         assert large.memory_bytes() > small.memory_bytes()
-
-
-class TestShardedShareTable:
-    def test_size_must_divide(self):
-        with pytest.raises(ConfigurationError):
-            ShardedShareTable(10, 4, n_shards=4)
-
-    def test_partner_events_match_unsharded(self, rng):
-        """The shard partition emits the same partner multiset per batch."""
-        size, n_threads = 64, 6
-        sharded = ShardedShareTable(size, n_threads, n_shards=4)
-        flat = ArrayShareTable(size, n_threads)
-        for step in range(30):
-            tid = int(rng.integers(0, n_threads))
-            regions = rng.integers(0, 200, size=int(rng.integers(1, 40)))
-            now = step * MSEC
-            per_shard, w_sharded = sharded.touch_batch(regions, tid, now, WINDOW)
-            flat_partners, w_flat = flat.touch_batch(regions, tid, now, WINDOW)
-            merged = np.concatenate(
-                [p for _, p in per_shard] or [np.empty(0, dtype=np.int64)]
-            )
-            assert sorted(merged.tolist()) == sorted(flat_partners.tolist())
-            assert w_sharded == w_flat
-        assert sharded.collisions == flat.collisions
-        assert sharded.inserts == flat.inserts
-        assert sharded.shared_region_count() == flat.shared_region_count()
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +232,7 @@ class TestMappingEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# sharded session vs offline reference: the bit-parity pin
+# session vs offline reference: the bit-parity pin
 # ---------------------------------------------------------------------------
 class TestShardedParity:
     def _drive(self, cfg, stream, machine):
@@ -287,10 +247,13 @@ class TestShardedParity:
             updates.append(final)
         return session, updates
 
-    @pytest.mark.parametrize("shards", [1, 2, 4, 7])
-    def test_digest_and_mapping_parity(self, machine, shards):
+    @pytest.mark.parametrize("matrix_decay", [1.0, 0.9])
+    def test_digest_and_mapping_parity(self, machine, matrix_decay):
         cfg = SessionConfig(
-            n_threads=8, table_size=10_000, shards=shards, eval_every_events=4096
+            n_threads=8,
+            table_size=10_000,
+            eval_every_events=4096,
+            matrix_decay=matrix_decay,
         )
         stream = list(synthetic_fault_stream(8, 10_000, seed=3))
         session, updates = self._drive(cfg, stream, machine)
@@ -302,27 +265,6 @@ class TestShardedParity:
         assert session.evaluator.remaps == reference.remaps
         assert session.comm_events == reference.comm_events
         assert updates and updates[-1].mapping == reference.final_mapping
-
-    def test_shard_count_does_not_change_results(self, machine):
-        stream = list(synthetic_fault_stream(8, 8_000, seed=6))
-        digests = set()
-        mappings = []
-        for shards in (1, 3, 4):
-            cfg = SessionConfig(
-                n_threads=8, table_size=9_999, shards=shards, eval_every_events=4096
-            )
-            # effective_table_size differs per shard count, so pin it equal
-            cfg = SessionConfig(
-                n_threads=8,
-                table_size=10_008,  # divisible by 1, 3 and 4
-                shards=shards,
-                eval_every_events=4096,
-            )
-            session, _ = self._drive(cfg, stream, machine)
-            digests.add(session.final_digest())
-            mappings.append([int(p) for p in session.evaluator.current])
-        assert len(digests) == 1
-        assert all(m == mappings[0] for m in mappings)
 
     def test_evaluation_trace_matches_replay(self, machine, tmp_path):
         from repro.obs.recorder import JsonlRecorder
@@ -397,7 +339,6 @@ class TestServerE2E:
             metrics_port=None,
             max_sessions=4,
             max_table_mb=64.0,
-            shards=4,
             eval_every_events=4096,
             credit_window=65536,
             drain_grace_s=5.0,
@@ -487,7 +428,7 @@ class TestServerE2E:
 
         for stream, summary, mappings in asyncio.run(scenario()):
             cfg = SessionConfig.from_overrides(
-                SessionConfig(n_threads=n_threads, shards=4, eval_every_events=4096),
+                SessionConfig(n_threads=n_threads, eval_every_events=4096),
                 overrides,
             )
             ref = offline_reference(
@@ -624,6 +565,40 @@ class TestServerE2E:
         final = [e for e in events if e["type"] == "serve_end"][0]
         assert final["reason"] == "test-drain"
         assert final["events_total"] == 24_000
+
+    def test_table_size_is_used_as_given(self, machine, tmp_path):
+        """table_size=10 gives exactly 10 slots, reported in WELCOME and the trace."""
+        import json
+
+        from repro.obs.recorder import JsonlRecorder
+        from repro.serve import AsyncServeClient, MappingServer
+
+        path = tmp_path / "serve.jsonl"
+
+        async def scenario():
+            recorder = JsonlRecorder(path)
+            async with MappingServer(
+                self._config(), machine=machine, recorder=recorder
+            ) as server:
+                client = await AsyncServeClient.connect(
+                    "127.0.0.1",
+                    server.port,
+                    tenant="t",
+                    n_threads=4,
+                    config={"table_size": 10},
+                )
+                (session,) = [c.session for c in server._connections.values()]
+                assert session.table.size == 10
+                await client.close()
+            return client.welcome
+
+        welcome = asyncio.run(scenario())
+        assert welcome["table_size"] == 10
+        assert "shards" not in welcome
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        (start,) = [e for e in events if e["type"] == "serve_session_start"]
+        assert start["table_size"] == 10
+        assert "shards" not in start
 
     def test_draining_server_refuses_new_sessions(self, machine):
         from repro.errors import AdmissionError

@@ -279,7 +279,6 @@ def _config(**overrides):
         metrics_port=None,
         max_sessions=8,
         max_table_mb=64.0,
-        shards=4,
         eval_every_events=4096,
         credit_window=65536,
         drain_grace_s=5.0,
@@ -328,7 +327,7 @@ class TestRoutedParity:
 
         summaries = asyncio.run(scenario())
         cfg = SessionConfig.from_overrides(
-            SessionConfig(n_threads=8, shards=4, eval_every_events=4096), OVERRIDES
+            SessionConfig(n_threads=8, eval_every_events=4096), OVERRIDES
         )
         for (name, stream), summary in zip(streams.items(), summaries):
             ref = offline_reference(stream, cfg, machine, flush_after=[len(stream) - 1])
@@ -595,7 +594,7 @@ class _Crasher:
 class TestCrashRecovery:
     def _reference(self, machine, stream):
         cfg = SessionConfig.from_overrides(
-            SessionConfig(n_threads=8, shards=4, eval_every_events=4096), OVERRIDES
+            SessionConfig(n_threads=8, eval_every_events=4096), OVERRIDES
         )
         return offline_reference(stream, cfg, machine, flush_after=[len(stream) - 1])
 
