@@ -14,6 +14,12 @@ and a deliberate behaviour change updates the pins it moves and says why.
 
 The ``REPRO_SIM_SHARDS=2`` cases rerun the simulations on the set-stripe
 sharded simulator, which must reproduce the single-process pins exactly.
+
+The fault-stream cases drive random fault batches straight into a fault
+pipeline with an SPCD detector attached, and hash the detector, the page
+table, the frame placement and every TLB's LRU order; the placement-policy
+cases pin the page-migrating policies, whose data mapper rides the same
+fault hook.
 """
 
 from __future__ import annotations
@@ -29,11 +35,16 @@ from repro.core.mapping import HierarchicalMapper
 from repro.core.matching import _blossom_reference
 from repro.engine.runner import run_single
 from repro.engine.settings import RunSettings
-from repro.engine.simulator import EngineConfig, SimulationResult
+from repro.core.spcd import SpcdDetector
+from repro.engine.simulator import EngineConfig, SimulationResult, Simulator
 from repro.machine.cache_params import CacheParams
 from repro.machine.topology import build_machine, dual_xeon_e5_2650
+from repro.mem.addresspace import AddressSpace
+from repro.mem.fault import FaultPipeline
+from repro.mem.physmem import FrameAllocator
+from repro.mem.tlb import TlbArray
 from repro.serve import EventBatch, SessionConfig, TenantSession
-from repro.units import KIB, MSEC, PAGE_SIZE
+from repro.units import KIB, MSEC, PAGE_SHIFT, PAGE_SIZE
 from repro.workloads.npb import make_npb
 from repro.workloads.patterns import mixed_pattern
 from repro.workloads.producer_consumer import ProducerConsumerWorkload
@@ -96,6 +107,35 @@ FIG8_PINS = {
     ("EP", "os"): "72c59a1b0ca7df3bb616294dbc90e3ad39b631728b026a765688b0300cf61af0",
     ("EP", "oracle"): "11bc2b94ef646ed1794a11349a7246264f9f4d49b0cb0cc426014497723b3688",
     ("EP", "spcd"): "377c799b80d92cac36756a473c8ea1037272bd27e904cdf5f06d372385a5f008",
+}
+
+#: the page-migrating placement policies on SP (seed 99, 40 steps x 128):
+#: two evaluations, each migrating pages chosen from the data mapper's
+#: per-node fault counters
+PLACEMENT_CONFIG = EngineConfig(steps=40, batch_size=128)
+PLACEMENT_PINS = {
+    "spcd-data": "1bc124b36b4ec6e6e69c014958e9cc32fa0114557124ac1682c0288ab34ed223",
+    "spcd-combined": "0646a1d4f775c0660b48bda758012d6a74fd83c25e39ade705e8d5cb96a65906",
+    "spcd-replicated": "878330e69b7290beed044f4834cd79ef756ef21a4b8b4df33bd3c787a39ee364",
+}
+
+#: random fault streams into a pipeline + detector stack:
+#: (seed, table_size, granularity, steps, max batch size)
+FAULT_STREAMS = {
+    "table7": (107, 7, PAGE_SIZE, 300, 24),
+    "table251": (351, 251, PAGE_SIZE, 300, 24),
+    "table4096": (4196, 4096, PAGE_SIZE, 300, 24),
+    # several batch VPNs per region: duplicate regions inside one batch
+    "coarse": (9, 61, 4 * PAGE_SIZE, 200, 40),
+    # one-fault batches
+    "single": (5, 251, PAGE_SIZE, 150, 2),
+}
+FAULT_STREAM_PINS = {
+    "table7": "3ade32096015d5c5c912f1070ac0d69bb202b0a0a23b4a8308d4280bc68adbf0",
+    "table251": "0b3902760960b434e6759785f508b2ffcc5f9e272231e015e0fb9db805d7153d",
+    "table4096": "552be7fc2f6c2d429ba0fd7458613a08c29615e880f76d1225d3b55dbc032415",
+    "coarse": "4776e78f735cb71eee21891f472e833b9f03fd2886bb8f53f155e9e73ea6299f",
+    "single": "3f1e389798ac555f8a7b96f5552675d11f6549b2210098a90e680fe36c65bcc1",
 }
 
 #: randomised raw access streams straight into the hierarchy
@@ -198,6 +238,106 @@ def test_fig8_cell_digest(cell, settings):
         settings=settings,
     )
     assert result_digest(result) == FIG8_PINS[cell]
+
+
+def array_digest(a: np.ndarray) -> str:
+    """SHA-256 of an array's dtype, shape and raw bytes."""
+    a = np.ascontiguousarray(a)
+    return digest((str(a.dtype), a.shape, hashlib.sha256(a.tobytes()).hexdigest()))
+
+
+@pytest.mark.parametrize("policy", list(PLACEMENT_PINS))
+def test_placement_policy_digest(policy):
+    sim = Simulator(
+        make_npb("SP"), policy, seed=99, config=PLACEMENT_CONFIG, settings=SERIAL
+    )
+    result = sim.run()
+    mapper = sim.manager.data_mapper
+    table = sim.address_space.page_table
+    node_faults = tuple(
+        (int(vpn), tuple(counts.tolist())) for vpn, counts in sorted(mapper._node_faults.items())
+    )
+    observed = digest(
+        (
+            result_digest(result),
+            dataclasses.astuple(mapper.stats),
+            node_faults,
+            array_digest(table._frame),
+            array_digest(table._home_node),
+        )
+    )
+    assert observed == PLACEMENT_PINS[policy]
+
+
+def fault_stream_digest(seed, table_size, granularity, steps, max_batch) -> str:
+    """Drive one random fault stream; digest everything the stack holds."""
+    n_threads, n_pages = 8, 192
+    space = AddressSpace(1 << 12)
+    region = space.mmap("data", n_pages * PAGE_SIZE)
+    frames = FrameAllocator(n_nodes=4, frames_per_node=n_pages)
+    tlbs = TlbArray(n_threads, capacity=16)
+    pipeline = FaultPipeline(space, frames, tlbs, node_of_pu=lambda pu: pu % 4)
+    detector = SpcdDetector(
+        n_threads,
+        table_size=table_size,
+        granularity=granularity,
+        window_ns=5_000,
+        pipeline=pipeline,
+    )
+    rng = np.random.default_rng(seed)
+    vpn_lo = int(region.vpns()[0])
+    vpn_hi = int(region.vpns()[-1])
+    for step in range(steps):
+        tid = int(rng.integers(0, n_threads))
+        m = int(rng.integers(1, max_batch))
+        vpns = rng.integers(vpn_lo, vpn_hi + 1, size=m)
+        vaddrs = (vpns << PAGE_SHIFT) + rng.integers(0, PAGE_SIZE, size=m)
+        writes = rng.random(m) < 0.4
+        now = step * 700
+        mask = pipeline.faulting_mask(vpns)
+        if not mask.any():
+            # everything present: clear a random sample, as the injector does
+            present = space.page_table.present_vpns()
+            chosen = rng.choice(present, size=min(30, present.size), replace=False)
+            space.page_table.clear_present(chosen)
+            tlbs.shootdown(chosen)
+            continue
+        pipeline.handle_fault_batch(tid, tid, vaddrs[mask], writes[mask], now_ns=now)
+
+    share = detector.table
+    entries = tuple(
+        sorted(
+            (int(e.region), tuple(sorted((int(t), int(ns)) for t, ns in e.last_access.items())))
+            for e in share.entries()
+        )
+    )
+    page_table = space.page_table
+    return digest(
+        (
+            tuple(detector.matrix.matrix.ravel().tolist()),
+            tuple(int(v) for v in dataclasses.astuple(detector.stats)),
+            (int(share.collisions), int(share.inserts), len(share), detector.shared_region_count()),
+            entries,
+            (
+                pipeline.first_touch_faults,
+                pipeline.injected_faults,
+                float(pipeline.fault_time_ns),
+                float(pipeline.hook_time_ns),
+            ),
+            array_digest(page_table._frame),
+            array_digest(page_table._home_node),
+            array_digest(page_table._dirty),
+            page_table.walk_count,
+            tuple(
+                tuple((int(v), int(f)) for v, f in tlb._entries.items()) for tlb in tlbs.tlbs
+            ),
+        )
+    )
+
+
+@pytest.mark.parametrize("name", list(FAULT_STREAM_PINS))
+def test_fault_stream_digest(name):
+    assert fault_stream_digest(*FAULT_STREAMS[name]) == FAULT_STREAM_PINS[name]
 
 
 def drain_machine():
