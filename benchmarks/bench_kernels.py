@@ -6,12 +6,9 @@ hierarchy's access path, the fault pipeline with the SPCD hook attached,
 the injector wake, the hierarchical mapper, and the communication filter.
 """
 
-import json
-
 import numpy as np
 import pytest
 
-from conftest import emit
 from repro.cachesim.hierarchy import CoherentHierarchy
 from repro.core.commmatrix import CommunicationMatrix
 from repro.core.filter import CommunicationFilter
@@ -20,7 +17,7 @@ from repro.core.mapping import HierarchicalMapper
 from repro.core.spcd import SpcdDetector
 from repro.machine.topology import dual_xeon_e5_2650
 from repro.mem.addresspace import AddressSpace
-from repro.mem.fault import FaultPipeline
+from repro.mem.fault import FaultBatch, FaultPipeline
 from repro.mem.physmem import FrameAllocator
 from repro.units import PAGE_SIZE
 from repro.workloads.patterns import chain_pattern
@@ -29,6 +26,14 @@ from repro.workloads.patterns import chain_pattern
 @pytest.fixture(scope="module")
 def machine():
     return dual_xeon_e5_2650()
+
+
+def _pretouch(pipeline, region):
+    """First-touch every page of *region* from thread 0 in one batch."""
+    vpns = region.vpns()
+    pipeline.handle_fault_batch(
+        0, 0, vpns * PAGE_SIZE, np.zeros(vpns.size, dtype=bool), now_ns=0
+    )
 
 
 def test_bench_hierarchy_access_path(benchmark, machine):
@@ -53,16 +58,18 @@ def test_bench_fault_path_with_detector(benchmark, machine):
     region = space.mmap("d", 1024 * PAGE_SIZE)
     pipeline = FaultPipeline(space, FrameAllocator(2, 100_000), node_of_pu=lambda p: 0)
     SpcdDetector(32, pipeline=pipeline)
-    for vpn in region.vpns():
-        pipeline.handle_fault(0, 0, int(vpn) * PAGE_SIZE, is_write=False, now_ns=0)
+    _pretouch(pipeline, region)
     table = space.page_table
+    no_write = np.zeros(1, dtype=bool)
     state = {"i": 0}
 
     def one_fault():
         vpn = int(region.first_vpn) + state["i"] % 1024
         state["i"] += 1
         table.clear_present(vpn)
-        pipeline.handle_fault(state["i"] % 32, 0, vpn * PAGE_SIZE, is_write=False, now_ns=0)
+        pipeline.handle_fault_batch(
+            state["i"] % 32, 0, np.array([vpn * PAGE_SIZE]), no_write, now_ns=0
+        )
 
     benchmark(one_fault)
 
@@ -72,8 +79,7 @@ def test_bench_injector_wake(benchmark, machine):
     space = AddressSpace(1 << 14)
     region = space.mmap("d", 8192 * PAGE_SIZE)
     pipeline = FaultPipeline(space, FrameAllocator(2, 100_000), node_of_pu=lambda p: 0)
-    for vpn in region.vpns():
-        pipeline.handle_fault(0, 0, int(vpn) * PAGE_SIZE, is_write=False, now_ns=0)
+    _pretouch(pipeline, region)
     inj = FaultInjector(
         pipeline,
         np.random.default_rng(0),
@@ -112,43 +118,25 @@ def test_bench_communication_filter(benchmark):
 
 
 def test_bench_detector_hook(benchmark):
-    """The SPCD fault hook alone (hash lookup + matrix update)."""
-    from repro.mem.fault import FaultInfo, FaultKind
-
+    """The SPCD fault hook alone on one-fault batches (table + matrix update)."""
     det = SpcdDetector(32)
-    infos = [
-        FaultInfo(
+    batches = [
+        FaultBatch(
             thread_id=t % 32,
             pu_id=0,
-            vaddr=(t % 64) * PAGE_SIZE,
-            vpn=t % 64,
             now_ns=t,
-            is_write=False,
-            kind=FaultKind.INJECTED,
-            home_node=0,
+            vaddrs=np.array([(t % 64) * PAGE_SIZE]),
+            vpns=np.array([t % 64]),
+            is_write=np.zeros(1, dtype=bool),
+            injected=np.ones(1, dtype=bool),
+            home_nodes=np.zeros(1, dtype=np.int64),
         )
         for t in range(128)
     ]
     state = {"i": 0}
 
     def hook():
-        det.on_fault(infos[state["i"] % 128])
+        det.on_fault_batch(batches[state["i"] % 128])
         state["i"] += 1
 
     benchmark(hook)
-
-
-def test_bench_spcd_fault_path(results_dir):
-    """Fault-path throughput: batched pipeline + array detector vs reference.
-
-    A fault-heavy stream (256 injected faults per batch) resolved once via
-    ``handle_fault_batch`` with the array-table engine and once via the
-    per-fault reference loop with the dict engine.  The driver asserts both
-    end states are bit-identical, then ``BENCH_spcd.json`` records the
-    throughputs; the batched path must be at least 3x faster here.
-    """
-    from spcd_faultbench import run_spcd_fault_bench
-
-    payload = run_spcd_fault_bench()
-    emit(results_dir, "BENCH_spcd.json", json.dumps(payload, indent=2))
-    assert payload["speedup"] > 3.0

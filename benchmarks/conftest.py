@@ -28,7 +28,6 @@ import pytest
 
 from repro.engine.cache import ResultCache
 from repro.engine.gridrunner import run_cell, run_grid
-from repro.engine.policies import Policy
 from repro.engine.runner import MetricStats, summarize
 from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, SimulationResult, Simulator
@@ -107,7 +106,7 @@ class SuiteCache:
         """
         key = (bench, policy, rep)
         if key not in self._sims:
-            seed = derive_seed(BASE_SEED, "rep", rep, Policy.parse(policy).value)
+            seed = derive_seed(BASE_SEED, "rep", rep, policy)
             sim = Simulator(
                 make_npb(bench), policy, seed=seed, config=engine_config()
             )

@@ -57,7 +57,6 @@ from repro.engine import (
     CellFailure,
     EngineConfig,
     GridResult,
-    Policy,
     ResultCache,
     RunSettings,
     SimulationResult,
@@ -92,7 +91,6 @@ __all__ = [
     "PartitionPageRankWorkload",
     "PlacementDecision",
     "PlacementPolicy",
-    "Policy",
     "ProducerConsumerWorkload",
     "ResultCache",
     "RunSettings",

@@ -118,8 +118,12 @@ class _SmallModel:
                 # soft miss: refill from the page table, no fault
                 self.tlbs[tid].insert(vpn, table.frame_of(vpn))
                 return
-            self.pipeline.handle_fault(
-                tid, tid, vpn * 4096, is_write=False, now_ns=self.clock
+            self.pipeline.handle_fault_batch(
+                tid,
+                tid,
+                np.array([vpn * 4096], dtype=np.int64),
+                np.zeros(1, dtype=bool),
+                now_ns=self.clock,
             )
         elif op[0] in ("inject", "inject_noshoot"):
             vpn = self.vpns[op[1]]

@@ -114,8 +114,12 @@ class ReplicaModel:
                 # soft miss: refill from the page table, no fault
                 self.tlbs[node].insert(vpn, table.frame_of(vpn))
                 return
-            self.pipeline.handle_fault(
-                node, node, vpn * 4096, is_write=False, now_ns=self.clock
+            self.pipeline.handle_fault_batch(
+                node,
+                node,
+                np.array([vpn * 4096], dtype=np.int64),
+                np.zeros(1, dtype=bool),
+                now_ns=self.clock,
             )
         elif op[0] in ("migrate", "migrate_noshoot"):
             # the exact DataMapper.apply_moves sequence for one page

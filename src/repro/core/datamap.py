@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.mem.fault import FaultInfo, FaultPipeline
+from repro.mem.fault import FaultBatch, FaultPipeline
 from repro.units import MSEC
 
 
@@ -85,17 +85,19 @@ class SpcdDataMapper:
         self._node_faults: dict[int, np.ndarray] = {}
         self._touched: set[int] = set()
         self.stats = DataMapperStats()
-        pipeline.add_hook(self.on_fault)
+        pipeline.add_batch_hook(self.on_fault_batch)
 
     # -- fault hook ---------------------------------------------------------
-    def on_fault(self, info: FaultInfo) -> None:
-        """Record which node faulted on the page (free: rides SPCD's hook)."""
-        counts = self._node_faults.get(info.vpn)
-        if counts is None:
-            counts = np.zeros(self.n_nodes)
-            self._node_faults[info.vpn] = counts
-        counts[self.node_of_pu(info.pu_id)] += 1.0
-        self._touched.add(info.vpn)
+    def on_fault_batch(self, batch: FaultBatch) -> None:
+        """Record which node faulted on each page (free: rides SPCD's hook)."""
+        node = self.node_of_pu(batch.pu_id)
+        for vpn in batch.vpns.tolist():
+            counts = self._node_faults.get(vpn)
+            if counts is None:
+                counts = np.zeros(self.n_nodes)
+                self._node_faults[vpn] = counts
+            counts[node] += 1.0
+            self._touched.add(vpn)
 
     # -- periodic scan ---------------------------------------------------------
     def scan(self, now_ns: int) -> int:
@@ -190,4 +192,4 @@ class SpcdDataMapper:
 
     def detach(self) -> None:
         """Unregister from the fault pipeline."""
-        self.pipeline.remove_hook(self.on_fault)
+        self.pipeline.remove_batch_hook(self.on_fault_batch)

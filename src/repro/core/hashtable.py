@@ -12,14 +12,15 @@ access.  As in the paper:
 
 Two implementations share this contract:
 
-* :class:`ShareTable` — dict-of-entries; one Python dict per slot's sharer
-  timestamps.  The differential-testing reference engine
-  (``REPRO_SLOW_SPCD=1``).
-* :class:`ArrayShareTable` — NumPy slot arrays (a region-id vector plus a
+* :class:`ArrayShareTable` — the table SPCD runs on, in the simulator and
+  in the mapping service: NumPy slot arrays (a region-id vector plus a
   ``(size, n_threads)`` last-access timestamp matrix) with a vectorised
   batch touch path that reads and writes each slot once per batch, however
-  often the batch repeats it; its ``collisions``/``lookups``/``inserts``
-  counters are bit-identical to the reference under the same fault stream.
+  often the batch repeats it;
+* :class:`ShareTable` — dict-of-entries, one Python dict per slot's sharer
+  timestamps.  It is the plain reading of the paper's Figure 4 and the
+  test oracle the array table's partners, ``collisions`` and ``inserts``
+  are checked against (``tests/test_hashtable.py``).
 """
 
 from __future__ import annotations
@@ -290,7 +291,7 @@ class ArrayShareTable:
         """Record one fault by *tid* on *region*; returns its comm events.
 
         The scalar entry point (reference ``get_or_create`` + window-scan
-        semantics); the detector's small-batch path calls it per fault.
+        semantics); :meth:`touch_batch` calls it per fault on small batches.
         """
         return self._touch_one(self._slot_of(region), region, tid, now_ns, window_ns)
 

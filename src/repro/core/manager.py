@@ -114,9 +114,6 @@ class SpcdConfig:
     mapping_cost_ns_per_n3: float = 30.0
     detect_cost_ns: float = 250.0
     clear_cost_ns: float = 150.0
-    #: detection engine: "array" (vectorised fast engine), "dict" (per-fault
-    #: reference engine), or None to follow the run's ``slow_spcd`` setting
-    detector_engine: str | None = None
     #: also perform SPCD-driven *data* mapping (NUMA page migration) — the
     #: extension the paper names in Sec. IV; see repro.core.datamap
     data_mapping: bool = False
@@ -188,7 +185,6 @@ class SpcdManager:
             table_size=cfg.table_size,
             detect_cost_ns=cfg.detect_cost_ns,
             pipeline=pipeline,
-            engine=cfg.detector_engine,
             sparse_matrix=cfg.sparse_matrix,
         )
         self.injector = FaultInjector(

@@ -47,7 +47,6 @@ from repro.core.manager import SpcdConfig
 from repro.engine import cache as _cache_mod
 from repro.engine import checkpoint as _checkpoint
 from repro.engine import pool as _pool
-from repro.engine.policies import Policy
 from repro.engine.runner import (
     REPORT_METRICS,
     ReplicatedResult,
@@ -231,7 +230,7 @@ def _resolve_cache(cache, eff: RunSettings) -> "_cache_mod.ResultCache | None":
 
 def run_cell(
     workload: "WorkloadSpec",
-    policy: "PlacementPolicy | str | Policy",
+    policy: "PlacementPolicy | str",
     rep: int = 0,
     *,
     base_seed: int = 42,
@@ -368,7 +367,7 @@ def _resolve_manifest(
 
 def run_grid(
     workloads: Sequence["WorkloadSpec"],
-    policies: Sequence["PlacementPolicy | str | Policy"] = (
+    policies: Sequence["PlacementPolicy | str"] = (
         "os",
         "random",
         "oracle",

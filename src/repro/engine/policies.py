@@ -1,74 +1,35 @@
-"""Legacy policy enum — superseded by :mod:`repro.placement`.
+"""Scheduler construction by policy name — a thin shim over :mod:`repro.placement`.
 
-.. deprecated::
-    The ``Policy`` str-enum and :func:`make_scheduler` predate the typed
-    placement engine.  New code should pass a policy *name* string
-    (``"os"``, ``"random"``, ``"oracle"``, ``"spcd"``, ``"spcd-data"``,
-    ``"spcd-combined"``, ``"spcd-replicated"``) or a
-    :class:`~repro.placement.policy.PlacementPolicy` instance to
-    :class:`~repro.engine.simulator.Simulator` and the runners; resolve
-    names with :func:`repro.placement.resolve_policy`.  Passing a
-    ``Policy`` member still works everywhere but emits a
-    :class:`DeprecationWarning` at resolution time.
-
-This module keeps the four-member enum (the paper's Figs. 8-15 compare
-exactly these placements) and a :func:`make_scheduler` that delegates to
-the equivalent typed policy, so pinned seed derivations and scheduler
-RNG streams are unchanged.
+New code passes a policy *name* string (``"os"``, ``"random"``,
+``"oracle"``, ``"spcd"``, ``"spcd-data"``, ``"spcd-combined"``,
+``"spcd-replicated"``) or a :class:`~repro.placement.policy.PlacementPolicy`
+instance to :class:`~repro.engine.simulator.Simulator` and the runners,
+and resolves names with :func:`repro.placement.resolve_policy`.
+:func:`make_scheduler` is that resolution plus the policy's own
+``make_scheduler``, so scheduler RNG streams are unchanged.
 """
 
 from __future__ import annotations
 
-import enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.kernelsim.scheduler import Scheduler
 from repro.machine.topology import Machine
 from repro.workloads.base import Workload
 
-
-class Policy(str, enum.Enum):
-    """The four placements compared in Figs. 8-15 (legacy spelling).
-
-    The placement engine's extended policies (``spcd-data``,
-    ``spcd-combined``, ``spcd-replicated``) have no enum members — they
-    exist only as :class:`~repro.placement.policy.PlacementPolicy`
-    instances and name strings, which is the API going forward.
-    """
-
-    OS = "os"
-    RANDOM = "random"
-    ORACLE = "oracle"
-    SPCD = "spcd"
-
-    @classmethod
-    def parse(cls, value: "Policy | str") -> "Policy":
-        """Accept a Policy or its case-insensitive string name."""
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value.lower())
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown policy {value!r}; expected one of {[p.value for p in cls]}"
-            ) from None
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.placement.policy import PlacementPolicy
 
 
 def make_scheduler(
-    policy: "Policy | str",
+    policy: "PlacementPolicy | str",
     machine: Machine,
     workload: Workload,
     rng: np.random.Generator,
 ) -> Scheduler:
-    """Build the scheduler implementing *policy* for *workload*.
-
-    Delegates to the typed policy's ``make_scheduler`` — identical
-    scheduler types, pinnings and RNG consumption as the historical
-    open-coded branches (the parity suite pins the digests).
-    """
+    """Build the scheduler implementing *policy* for *workload*."""
     from repro.placement.policy import resolve_policy
 
-    name = policy.value if isinstance(policy, Policy) else policy
-    return resolve_policy(name).make_scheduler(machine, workload, rng)
+    return resolve_policy(policy).make_scheduler(machine, workload, rng)

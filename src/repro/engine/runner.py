@@ -14,7 +14,6 @@ import numpy as np
 from scipy import stats as sps
 
 from repro.core.manager import SpcdConfig
-from repro.engine.policies import Policy
 from repro.engine.settings import RunSettings
 from repro.engine.simulator import EngineConfig, SimulationResult, Simulator
 from repro.errors import ConfigurationError
@@ -87,7 +86,7 @@ class ReplicatedResult:
 
 def run_single(
     workload_factory: WorkloadFactory,
-    policy: "PlacementPolicy | str | Policy",
+    policy: "PlacementPolicy | str",
     *,
     machine: Machine | None = None,
     seed: int = 0,
@@ -110,7 +109,7 @@ def run_single(
 
 def run_replicated(
     workload_factory: WorkloadFactory,
-    policy: "PlacementPolicy | str | Policy",
+    policy: "PlacementPolicy | str",
     *,
     machine: Machine | None = None,
     reps: int = 3,

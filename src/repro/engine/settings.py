@@ -1,6 +1,6 @@
 """Typed run configuration — the single home of every ``REPRO_*`` env read.
 
-Historically the grid runner, the trace recorder and the slow-path
+Historically the grid runner, the trace recorder and the engine
 selectors each read their own environment variable at their own call
 site, so the set of knobs that shaped a run was scattered across four
 modules.  :class:`RunSettings` consolidates them: a frozen dataclass
@@ -38,7 +38,6 @@ __all__ = [
     "ENV_SERVE_PORT",
     "ENV_SERVE_WORKERS",
     "ENV_SIM_SHARDS",
-    "ENV_SLOW_SPCD",
     "ENV_TRACE",
     "RunSettings",
     "available_cpus",
@@ -50,8 +49,6 @@ ENV_GRID_WORKERS = "REPRO_GRID_WORKERS"
 ENV_RESULT_CACHE = "REPRO_RESULT_CACHE"
 #: trace sink: a ``.jsonl`` file or a directory (empty/unset = tracing off)
 ENV_TRACE = "REPRO_TRACE"
-#: select the per-fault reference fault/SPCD path
-ENV_SLOW_SPCD = "REPRO_SLOW_SPCD"
 #: coherence-stripe worker processes per simulation (1 = single-process)
 ENV_SIM_SHARDS = "REPRO_SIM_SHARDS"
 #: per-cell wall-clock timeout in seconds (unset = no timeout)
@@ -151,8 +148,6 @@ class RunSettings:
     cache_dir: "str | None" = None
     #: trace sink (``.jsonl`` file or directory); ``None`` disables tracing
     trace: "str | None" = None
-    #: run the per-fault reference fault/SPCD path (differential testing)
-    slow_spcd: bool = False
     #: coherence-stripe worker processes per simulation; 1 = single-process
     sim_shards: int = 1
     #: per-cell wall-clock timeout in seconds; ``None`` = no timeout
@@ -246,7 +241,6 @@ class RunSettings:
             workers=workers,
             cache_dir=_get(environ, ENV_RESULT_CACHE) or None,
             trace=_get(environ, ENV_TRACE) or None,
-            slow_spcd=_env_bool(environ, ENV_SLOW_SPCD),
             sim_shards=_env_int(environ, ENV_SIM_SHARDS, 1),
             cell_timeout_s=_env_float(environ, ENV_CELL_TIMEOUT, None),
             cell_retries=_env_int(environ, ENV_CELL_RETRIES, 2),

@@ -18,7 +18,6 @@ units require it (energy).  Ratios such as MPKI are scale-free.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -33,7 +32,6 @@ from repro.core.manager import SpcdConfig, SpcdManager
 from repro.engine.energy import EnergyBreakdown, EnergyModel, EnergyParams
 from repro.engine.metrics import TimeModel, TimeParams
 from repro.engine.perf import PerfCounters
-from repro.engine.policies import Policy
 from repro.engine.settings import RunSettings
 from repro.errors import ConfigurationError, SimulationError
 from repro.kernelsim.clock import VirtualClock
@@ -125,7 +123,7 @@ class Simulator:
     def __init__(
         self,
         workload: Workload,
-        policy: "PlacementPolicy | str | Policy",
+        policy: "PlacementPolicy | str",
         *,
         machine: Machine | None = None,
         seed: int = 0,
@@ -135,8 +133,8 @@ class Simulator:
         settings: RunSettings | None = None,
     ) -> None:
         self.workload = workload
-        #: the typed placement policy; ``policy`` accepts an instance, a
-        #: name string, or (deprecated, warns) a legacy ``Policy`` member
+        #: the typed placement policy; ``policy`` accepts an instance or a
+        #: name string
         self.placement: PlacementPolicy = resolve_policy(policy)
         #: the policy's stable name (seed derivation, result rows, traces)
         self.policy: str = self.placement.name
@@ -194,9 +192,6 @@ class Simulator:
             self.pipeline.enable_numa_walk(
                 numa.pt_walk_level_ns(local=True), numa.pt_walk_level_ns(local=False)
             )
-        #: ``settings.slow_spcd`` keeps the per-fault reference path end to
-        #: end (scalar resolution loop + dict detection engine)
-        self._batch_faults = not self.settings.slow_spcd
         self.hierarchy = CoherentHierarchy(self.machine)
         self.time_model = TimeModel(self.machine, params=self.config.time_params)
         self.energy_model = EnergyModel(self.machine, params=self.config.energy_params)
@@ -212,14 +207,6 @@ class Simulator:
         if self.placement.uses_spcd:
             if not isinstance(self.scheduler, PinnedScheduler):
                 raise SimulationError("SPCD requires a pinnable scheduler")
-            # The detector engine follows this run's settings, not the
-            # environment, unless the SpcdConfig names one explicitly.
-            effective_spcd = spcd_config or SpcdConfig()
-            if effective_spcd.detector_engine is None:
-                effective_spcd = dataclasses.replace(
-                    effective_spcd,
-                    detector_engine="dict" if self.settings.slow_spcd else "array",
-                )
             self.manager = SpcdManager(
                 self.machine,
                 n,
@@ -228,7 +215,7 @@ class Simulator:
                 self.rngs.rng("injector"),
                 tlbs=self.tlbs,
                 timer_wheel=self.wheel,
-                config=effective_spcd,
+                config=spcd_config,
                 recorder=self.recorder,
                 placement=self.placement,
             )
@@ -253,30 +240,18 @@ class Simulator:
     def _pretouch_serial(self) -> None:
         """Fault in every region page from thread 0 (serial init phase)."""
         pu0 = int(self.scheduler.pu_of(0))
-        if self._batch_faults:
-            # One bulk first-touch mapping per region: identical page-table
-            # state, frames and counters as the per-VPN reference loop.
-            for region in self.address_space.regions():
-                vpns = region.vpns()
-                if vpns.size == 0:
-                    continue
-                self.pipeline.handle_fault_batch(
-                    0,
-                    pu0,
-                    vpns << PAGE_SHIFT,
-                    np.ones(vpns.size, dtype=bool),
-                    now_ns=self.clock.now_ns,
-                )
-            return
+        # One bulk first-touch mapping per region.
         for region in self.address_space.regions():
-            for vpn in region.vpns():
-                self.pipeline.handle_fault(
-                    0,
-                    pu0,
-                    int(vpn) << PAGE_SHIFT,
-                    is_write=True,
-                    now_ns=self.clock.now_ns,
-                )
+            vpns = region.vpns()
+            if vpns.size == 0:
+                continue
+            self.pipeline.handle_fault_batch(
+                0,
+                pu0,
+                vpns << PAGE_SHIFT,
+                np.ones(vpns.size, dtype=bool),
+                now_ns=self.clock.now_ns,
+            )
 
     # ------------------------------------------------------------------
     def run(self, step_callback: StepCallback | None = None) -> SimulationResult:
@@ -471,27 +446,10 @@ class Simulator:
         ft_0 = pipeline.first_touch_faults
         inj_0 = pipeline.injected_faults
         if had_faults:
-            if self._batch_faults:
-                fb = pipeline.handle_fault_batch(
-                    tid,
-                    pu,
-                    vaddrs[fault_mask],
-                    writes[fault_mask],
-                    now_ns=now,
-                )
-                perf.faults += fb.n_faults
-            else:
-                fault_vpns, first_idx = np.unique(vpns[fault_mask], return_index=True)
-                fault_positions = np.flatnonzero(fault_mask)[first_idx]
-                for pos in fault_positions:
-                    pipeline.handle_fault(
-                        tid,
-                        pu,
-                        int(vaddrs[pos]),
-                        is_write=bool(writes[pos]),
-                        now_ns=now,
-                    )
-                perf.faults += len(fault_positions)
+            fb = pipeline.handle_fault_batch(
+                tid, pu, vaddrs[fault_mask], writes[fault_mask], now_ns=now
+            )
+            perf.faults += fb.n_faults
         fault_ns = (pipeline.fault_time_ns + pipeline.hook_time_ns) - fault_ns_0
         perf.detect_s += pipeline.hook_wall_s - hook_wall_0
         perf.fault_s += perf_counter() - t_fault

@@ -15,7 +15,7 @@ from repro.mem.address import (
     vpn_of,
 )
 from repro.mem.addresspace import AddressSpace, Region
-from repro.mem.fault import FaultBatch, FaultInfo, FaultKind, FaultPipeline
+from repro.mem.fault import FaultBatch, FaultPipeline
 from repro.mem.pagetable import PageTable, PageTableEntry
 from repro.mem.physmem import FrameAllocator
 from repro.mem.tlb import Tlb, TlbArray
@@ -23,8 +23,6 @@ from repro.mem.tlb import Tlb, TlbArray
 __all__ = [
     "AddressSpace",
     "FaultBatch",
-    "FaultInfo",
-    "FaultKind",
     "FaultPipeline",
     "FrameAllocator",
     "PageTable",

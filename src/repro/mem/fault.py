@@ -3,26 +3,18 @@
 This is the simulation analogue of the paper's modified Linux page-fault
 handler (their Figure 2): resolve the fault — first-touch allocation or
 restoring a present bit SPCD cleared — and then run registered hooks with the
-full fault information (faulting thread, address, time, kind).  SPCD's
+full fault information (faulting thread, addresses, time, kind).  SPCD's
 communication detection registers exactly one such hook.
 
-Two resolution paths exist, mirroring the cache hierarchy's fast/reference
-split:
-
-* :meth:`FaultPipeline.handle_fault` resolves one fault at a time — the
-  reference path, selected end-to-end by ``REPRO_SLOW_SPCD=1``;
-* :meth:`FaultPipeline.handle_fault_batch` resolves every unique faulting
-  VPN of one thread batch in a single vectorised pass (bulk present-bit
-  restore, bulk frame allocation, bulk mapping and TLB refill) and hands the
-  whole fault vector to batch-aware hooks as one :class:`FaultBatch`.
-
-Both paths produce bit-identical page-table state, counters and hook
-observations; ``tests/test_spcd_parity.py`` pins the equivalence.
+:meth:`FaultPipeline.handle_fault_batch` is the one way in.  It resolves
+every unique faulting VPN of one thread batch — bulk present-bit restore,
+bulk frame allocation, bulk mapping and TLB refill, or a scalar loop for a
+batch of a few faults — and hands the resolved faults to every hook as one
+:class:`FaultBatch`.  A single fault is a one-element batch.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
@@ -36,48 +28,12 @@ from repro.mem.tlb import TlbArray
 from repro.units import PAGE_SHIFT
 
 
-def slow_spcd_requested() -> bool:
-    """True when ``REPRO_SLOW_SPCD`` selects the reference fault/SPCD path.
-
-    Delegates to :class:`repro.engine.settings.RunSettings` — the single
-    home of every ``REPRO_*`` environment read.  (Imported lazily: the
-    engine imports this module.)
-    """
-    from repro.engine.settings import RunSettings
-
-    return RunSettings.from_env().slow_spcd
-
-
-class FaultKind(enum.Enum):
-    """Why the fault happened."""
-
-    #: First access ever to the page — demand paging / first touch.
-    FIRST_TOUCH = "first_touch"
-    #: Present bit was cleared by the SPCD injector; page already has a frame.
-    INJECTED = "injected"
-
-
-@dataclass(frozen=True)
-class FaultInfo:
-    """Everything a fault hook may observe about one page fault."""
-
-    thread_id: int
-    pu_id: int
-    vaddr: int
-    vpn: int
-    now_ns: int
-    is_write: bool
-    kind: FaultKind
-    home_node: int
-
-
 @dataclass(frozen=True)
 class FaultBatch:
     """One thread batch's resolved faults, as parallel arrays.
 
-    Faults are ordered by ascending VPN (the order the per-fault reference
-    loop resolves them in); ``vaddrs``/``is_write`` carry the first faulting
-    access of each unique VPN.
+    Faults are ordered by ascending VPN; ``vaddrs``/``is_write`` carry the
+    first faulting access of each unique VPN.
     """
 
     thread_id: int
@@ -96,31 +52,16 @@ class FaultBatch:
         """Number of faults in the batch."""
         return int(self.vpns.size)
 
-    def infos(self) -> list[FaultInfo]:
-        """Materialise per-fault :class:`FaultInfo` records (hook compat)."""
-        return [
-            FaultInfo(
-                thread_id=self.thread_id,
-                pu_id=self.pu_id,
-                vaddr=int(self.vaddrs[i]),
-                vpn=int(self.vpns[i]),
-                now_ns=self.now_ns,
-                is_write=bool(self.is_write[i]),
-                kind=FaultKind.INJECTED if self.injected[i] else FaultKind.FIRST_TOUCH,
-                home_node=int(self.home_nodes[i]),
-            )
-            for i in range(self.n_faults)
-        ]
 
-
-FaultHook = Callable[[FaultInfo], None]
 FaultBatchHook = Callable[[FaultBatch], None]
 
 #: batches with at most this many faulting accesses resolve scalarly inside
 #: :meth:`FaultPipeline.handle_fault_batch`: a steady-state thread batch
 #: faults on only a few pages, where the vectorised pass's fixed cost
 #: (np.unique, mask building, fancy indexing) exceeds the per-fault loop.
-#: Performance-only — both resolutions are bit-identical.
+#: Both resolutions leave the same page-table, frame and TLB state.  An
+#: active :class:`~repro.mem.ptreplica.ReplicatedPageTable` charges one
+#: broadcast per mutating call, so its replication cost does see the cutover.
 _SCALAR_RESOLVE_MAX = 4
 
 
@@ -150,7 +91,6 @@ class FaultPipeline:
         self.node_of_pu = node_of_pu
         self.first_touch_cost_ns = first_touch_cost_ns
         self.injected_cost_ns = injected_cost_ns
-        self._hooks: list[FaultHook] = []
         self._batch_hooks: list[FaultBatchHook] = []
         #: when True, each fault's page-table walk additionally charges
         #: NUMA-aware per-level latency via ``PageTable.charge_walk``
@@ -167,14 +107,6 @@ class FaultPipeline:
         self.hook_wall_s = 0.0
 
     # -- hooks -------------------------------------------------------------
-    def add_hook(self, hook: FaultHook) -> None:
-        """Register *hook* to run on every resolved fault."""
-        self._hooks.append(hook)
-
-    def remove_hook(self, hook: FaultHook) -> None:
-        """Unregister a hook."""
-        self._hooks.remove(hook)
-
     def add_batch_hook(self, hook: FaultBatchHook) -> None:
         """Register *hook* to run once per resolved :class:`FaultBatch`."""
         self._batch_hooks.append(hook)
@@ -200,89 +132,18 @@ class FaultPipeline:
         self.numa_walk = True
 
     def _dispatch(self, batch: FaultBatch) -> None:
-        """Run batch hooks on *batch* and per-fault hooks on each fault."""
-        if not (self._hooks or self._batch_hooks):
+        """Run every hook on *batch*."""
+        if not self._batch_hooks:
             return
         t0 = perf_counter()
         for hook in self._batch_hooks:
             hook(batch)
-        if self._hooks:
-            for info in batch.infos():
-                for hook in self._hooks:
-                    hook(info)
         self.hook_wall_s += perf_counter() - t0
 
     # -- fault handling ------------------------------------------------------
     def faulting_mask(self, vpns: np.ndarray) -> np.ndarray:
         """Vectorised: which of *vpns* would fault right now?"""
         return ~self.address_space.page_table.present_mask(vpns)
-
-    def handle_fault(
-        self,
-        thread_id: int,
-        pu_id: int,
-        vaddr: int,
-        *,
-        is_write: bool,
-        now_ns: int,
-    ) -> FaultInfo:
-        """Resolve one fault and run the hooks; returns the fault record."""
-        table = self.address_space.page_table
-        vpn = vaddr >> PAGE_SHIFT
-        if table.is_present(vpn):
-            raise PageFaultError(f"vpn {vpn} is present; no fault to handle")
-
-        table.walk(vpn)  # handler performs one page-table walk (Sec. III-C4)
-        if self.numa_walk:
-            self.fault_time_ns += table.charge_walk(vpn, self.node_of_pu(pu_id))
-        if table.is_populated(vpn):
-            kind = FaultKind.INJECTED
-            table.restore_present(vpn)
-            home_node = table.home_node_of(vpn)
-            self.injected_faults += 1
-            self.fault_time_ns += self.injected_cost_ns
-        else:
-            kind = FaultKind.FIRST_TOUCH
-            home_node = self.node_of_pu(pu_id)
-            frame = self.frames.allocate(home_node)
-            home_node = self.frames.node_of_frame(frame)
-            table.map_page(vpn, frame, home_node)
-            self.first_touch_faults += 1
-            self.fault_time_ns += self.first_touch_cost_ns
-
-        table.mark_accessed(vpn, dirty=is_write)
-        if self.tlbs is not None:
-            self.tlbs[pu_id].insert(vpn, table.frame_of(vpn))
-
-        info = FaultInfo(
-            thread_id=thread_id,
-            pu_id=pu_id,
-            vaddr=vaddr,
-            vpn=vpn,
-            now_ns=now_ns,
-            is_write=is_write,
-            kind=kind,
-            home_node=home_node,
-        )
-        if self._hooks or self._batch_hooks:
-            t0 = perf_counter()
-            if self._batch_hooks:
-                batch = FaultBatch(
-                    thread_id=thread_id,
-                    pu_id=pu_id,
-                    now_ns=now_ns,
-                    vaddrs=np.array([vaddr], dtype=np.int64),
-                    vpns=np.array([vpn], dtype=np.int64),
-                    is_write=np.array([is_write], dtype=bool),
-                    injected=np.array([kind is FaultKind.INJECTED], dtype=bool),
-                    home_nodes=np.array([home_node], dtype=np.int64),
-                )
-                for hook in self._batch_hooks:
-                    hook(batch)
-            for hook in self._hooks:
-                hook(info)
-            self.hook_wall_s += perf_counter() - t0
-        return info
 
     def handle_fault_batch(
         self,
@@ -296,8 +157,8 @@ class FaultPipeline:
         """Resolve every unique faulting VPN of one batch in one pass.
 
         *vaddrs*/*is_write* are the batch's faulting accesses (duplicates per
-        VPN allowed; the first access of each VPN wins, as in the per-fault
-        loop).  Every VPN must currently be non-present.  Returns the
+        VPN allowed; the first access of each VPN wins).  Every VPN must
+        currently be non-present.  Returns the
         resolved :class:`FaultBatch` after dispatching the hooks.
         """
         vaddrs = np.asarray(vaddrs, dtype=np.int64)

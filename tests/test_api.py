@@ -56,7 +56,6 @@ TOP_LEVEL_API = {
     "PartitionPageRankWorkload",
     "PlacementDecision",
     "PlacementPolicy",
-    "Policy",
     "ProducerConsumerWorkload",
     "ResultCache",
     "RunSettings",
@@ -93,7 +92,6 @@ ENGINE_API = {
     "EngineConfig",
     "GridResult",
     "MetricStats",
-    "Policy",
     "ResultCache",
     "RunSettings",
     "SimulationResult",

@@ -11,6 +11,13 @@ from repro.mem.physmem import FrameAllocator
 from repro.units import PAGE_SIZE
 
 
+def _fault(pipeline, tid, pu, vaddr, *, is_write=False, now_ns=0):
+    """Resolve one fault as a one-element batch."""
+    return pipeline.handle_fault_batch(
+        tid, pu, np.array([vaddr], dtype=np.int64), np.array([is_write]), now_ns=now_ns
+    )
+
+
 @pytest.fixture
 def env():
     space = AddressSpace(256)
@@ -26,7 +33,7 @@ def fault(space, pipeline, tid, pu, page, now=0):
     vpn = addr // PAGE_SIZE
     if space.page_table.is_present(vpn):
         space.page_table.clear_present(vpn)
-    pipeline.handle_fault(tid, pu, addr, is_write=False, now_ns=now)
+    _fault(pipeline, tid, pu, addr, is_write=False, now_ns=now)
     return vpn
 
 

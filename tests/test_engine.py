@@ -6,7 +6,7 @@ import pytest
 from repro.cachesim.stats import CacheStats
 from repro.engine.energy import EnergyModel
 from repro.engine.metrics import TimeModel, TimeParams
-from repro.engine.policies import Policy, make_scheduler
+from repro.engine.policies import make_scheduler
 from repro.errors import ConfigurationError
 from repro.kernelsim.scheduler import CfsLikeScheduler, PinnedScheduler
 from repro.workloads.npb import make_npb
@@ -107,13 +107,13 @@ class TestEnergyModel:
 
 
 class TestPolicies:
-    def test_parse_accepts_strings(self):
-        assert Policy.parse("SPCD") is Policy.SPCD
-        assert Policy.parse(Policy.OS) is Policy.OS
+    def test_parse_accepts_strings(self, machine, rng):
+        sched = make_scheduler("OS", machine, make_npb("BT"), rng)
+        assert isinstance(sched, CfsLikeScheduler)
 
-    def test_parse_rejects_unknown(self):
+    def test_parse_rejects_unknown(self, machine, rng):
         with pytest.raises(ConfigurationError):
-            Policy.parse("best-effort")
+            make_scheduler("best-effort", machine, make_npb("BT"), rng)
 
     def test_os_policy_builds_cfs(self, machine, rng):
         sched = make_scheduler("os", machine, make_npb("BT"), rng)

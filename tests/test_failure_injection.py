@@ -5,6 +5,7 @@ tiny hash tables (constant collisions), exhausted NUMA nodes, pathological
 cache pressure, and extreme injection settings.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.manager import SpcdConfig
@@ -17,6 +18,13 @@ from repro.mem.fault import FaultPipeline
 from repro.mem.physmem import FrameAllocator
 from repro.units import KIB, PAGE_SIZE
 from repro.workloads.npb import make_npb
+
+
+def _fault(pipeline, tid, pu, vaddr, *, is_write=False, now_ns=0):
+    """Resolve one fault as a one-element batch."""
+    return pipeline.handle_fault_batch(
+        tid, pu, np.array([vaddr], dtype=np.int64), np.array([is_write]), now_ns=now_ns
+    )
 
 
 class TestHashCollisionStorm:
@@ -33,7 +41,7 @@ class TestHashCollisionStorm:
             vpn = base // PAGE_SIZE
             if table.is_present(vpn):
                 table.clear_present(vpn)
-            pipeline.handle_fault(i % 2, 0, base, is_write=False, now_ns=i)
+            _fault(pipeline, i % 2, 0, base, is_write=False, now_ns=i)
         assert det.matrix.matrix[0, 1] > 0
 
     def test_collision_storm_degrades_but_does_not_crash(self):
@@ -46,7 +54,7 @@ class TestHashCollisionStorm:
         for i, vpn in enumerate(region.vpns()):
             if table.is_present(int(vpn)):
                 table.clear_present(int(vpn))
-            pipeline.handle_fault(i % 4, 0, int(vpn) * PAGE_SIZE, is_write=False, now_ns=i)
+            _fault(pipeline, i % 4, 0, int(vpn) * PAGE_SIZE, is_write=False, now_ns=i)
         assert det.table.collisions > 100
         assert len(det.table) <= 3
 
@@ -65,7 +73,7 @@ class TestHashCollisionStorm:
                 tid = (int(i) // 64) % 2
                 if table.is_present(vpn):
                     table.clear_present(vpn)
-                pipeline.handle_fault(tid, 0, vpn * PAGE_SIZE, is_write=False, now_ns=int(i))
+                _fault(pipeline, tid, 0, vpn * PAGE_SIZE, is_write=False, now_ns=int(i))
             return det.stats.comm_events
 
         assert events_with(2) < events_with(10_000)
@@ -80,8 +88,8 @@ class TestMemoryPressure:
         pipeline = FaultPipeline(space, frames, node_of_pu=lambda p: 0)
         homes = set()
         for vpn in space.region("d").vpns():
-            info = pipeline.handle_fault(0, 0, int(vpn) * PAGE_SIZE, is_write=False, now_ns=0)
-            homes.add(info.home_node)
+            batch = _fault(pipeline, 0, 0, int(vpn) * PAGE_SIZE)
+            homes.add(int(batch.home_nodes[0]))
         assert homes == {0, 1}
 
 

@@ -123,7 +123,7 @@ class TestShareTable:
 
 
 def reference_touch(table: ShareTable, regions, tid: int, now: int, window: int):
-    """Per-event ``get_or_create`` plus window scan (``SpcdDetector.on_fault``)."""
+    """Per-event ``get_or_create`` plus window scan: the paper's per-fault hook."""
     partners: list[int] = []
     windowed_out = 0
     for region in regions:

@@ -12,6 +12,13 @@ from repro.mem.tlb import TlbArray
 from repro.units import PAGE_SIZE
 
 
+def _fault(pipeline, tid, pu, vaddr, *, is_write=False, now_ns=0):
+    """Resolve one fault as a one-element batch."""
+    return pipeline.handle_fault_batch(
+        tid, pu, np.array([vaddr], dtype=np.int64), np.array([is_write]), now_ns=now_ns
+    )
+
+
 @pytest.fixture
 def env(rng):
     space = AddressSpace(512)
@@ -24,7 +31,7 @@ def env(rng):
 def touch_all(space, pipeline, n_threads=2):
     region = space.region("data")
     for i, vpn in enumerate(region.vpns()):
-        pipeline.handle_fault(i % n_threads, 0, int(vpn) * PAGE_SIZE, is_write=False, now_ns=0)
+        _fault(pipeline, i % n_threads, 0, int(vpn) * PAGE_SIZE, is_write=False, now_ns=0)
 
 
 class TestBudget:
@@ -100,7 +107,7 @@ class TestClearing:
         refaulted = 0
         for vpn in space.region("data").vpns():
             if not table.is_present(int(vpn)):
-                pipeline.handle_fault(0, 0, int(vpn) * PAGE_SIZE, is_write=False, now_ns=1)
+                _fault(pipeline, 0, 0, int(vpn) * PAGE_SIZE, is_write=False, now_ns=1)
                 refaulted += 1
         assert refaulted == 16
         assert pipeline.injected_faults == 16
@@ -182,5 +189,5 @@ class TestRatioConvergence:
             inj.wake(wake)
             for vpn in space.region("data").vpns():
                 if not table.is_present(int(vpn)):
-                    pipeline.handle_fault(0, 0, int(vpn) * PAGE_SIZE, is_write=False, now_ns=wake)
+                    _fault(pipeline, 0, 0, int(vpn) * PAGE_SIZE, is_write=False, now_ns=wake)
         assert inj.achieved_ratio() == pytest.approx(0.10, abs=0.02)

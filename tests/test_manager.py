@@ -12,6 +12,13 @@ from repro.mem.physmem import FrameAllocator
 from repro.units import MSEC, PAGE_SIZE
 
 
+def _fault(pipeline, tid, pu, vaddr, *, is_write=False, now_ns=0):
+    """Resolve one fault as a one-element batch."""
+    return pipeline.handle_fault_batch(
+        tid, pu, np.array([vaddr], dtype=np.int64), np.array([is_write]), now_ns=now_ns
+    )
+
+
 @pytest.fixture
 def env(small_machine, rng):
     space = AddressSpace(1024)
@@ -37,7 +44,7 @@ def feed_pair_communication(space, pipeline, pairs, reps=40, start_ns=0):
             for tid in (a, b):
                 if table.is_present(vpn):
                     table.clear_present(vpn)
-                pipeline.handle_fault(tid, tid % 8, addr, is_write=False, now_ns=now)
+                _fault(pipeline, tid, tid % 8, addr, is_write=False, now_ns=now)
                 now += 10_000
     return now
 

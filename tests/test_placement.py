@@ -2,8 +2,8 @@
 pre-placement engine, NUMA walk cost, page-table replication, and the
 co-decided data mapping.
 
-The parity tests are the load-bearing part: ``"spcd"`` (string, typed
-instance, or deprecated enum member) and an *inactive* replicated page
+The parity tests are the load-bearing part: ``"spcd"`` (string or typed
+instance) and an *inactive* replicated page
 table must reproduce the legacy engine's results bit for bit, and the
 walk-cost charging must stay off unless asked for.
 """
@@ -17,7 +17,7 @@ import pytest
 
 from repro import EngineConfig, RunSettings, Simulator, make_npb
 from repro.core.datamap import SpcdDataMapper
-from repro.engine.policies import Policy, make_scheduler
+from repro.engine.policies import make_scheduler
 from repro.errors import AddressError, ConfigurationError
 from repro.machine.topology import dual_xeon_e5_2650
 from repro.mem.address import N_LEVELS
@@ -96,10 +96,6 @@ class TestResolvePolicy:
         with pytest.raises(ConfigurationError):
             resolve_policy(42)
 
-    def test_enum_member_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="Policy enum member"):
-            assert resolve_policy(Policy.SPCD).name == "spcd"
-
     def test_plain_strings_never_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -129,12 +125,10 @@ class TestDigestParity:
     """`spcd` spelled any way — and with an idle replicated table —
     reproduces the legacy engine bit for bit."""
 
-    def test_string_instance_and_enum_agree(self):
+    def test_string_and_instance_agree(self):
         _, by_string = run("spcd")
         _, by_instance = run(ThreadPlacementPolicy())
-        with pytest.warns(DeprecationWarning):
-            _, by_enum = run(Policy.SPCD)
-        assert digest(by_string) == digest(by_instance) == digest(by_enum)
+        assert digest(by_string) == digest(by_instance)
 
     def test_inactive_replicated_table_is_bit_identical(self):
         sim, plain = run("spcd")
@@ -254,7 +248,7 @@ def _fault(space, pipeline, pu, page):
     vpn = addr // PAGE_SIZE
     if space.page_table.is_present(vpn):
         space.page_table.clear_present(vpn)
-    pipeline.handle_fault(pu, pu, addr, is_write=False, now_ns=0)
+    pipeline.handle_fault_batch(pu, pu, np.array([addr]), np.zeros(1, dtype=bool), now_ns=0)
     return vpn
 
 

@@ -106,6 +106,10 @@ class TestSpcdRun:
         res = Simulator(make_npb("SP"), "spcd", seed=3, config=cfg).run()
         assert res.detection_pct > 0
         assert res.detection_pct < 5.0
+        # The host-time subsystem timers are disjoint slices of the run's
+        # wall clock; a negative residual would mean two timers overlap.
+        assert res.perf.other_s >= 0.0
+        assert res.perf.tracked_s <= res.perf.wall_s
 
     def test_non_spcd_policies_have_no_detector(self):
         res = Simulator(make_npb("BT"), "oracle", seed=1, config=FAST).run()

@@ -1,5 +1,6 @@
 """Tests for the SPCD detection hook."""
 
+import numpy as np
 import pytest
 
 from repro.core.spcd import SpcdDetector
@@ -8,6 +9,13 @@ from repro.mem.addresspace import AddressSpace
 from repro.mem.fault import FaultPipeline
 from repro.mem.physmem import FrameAllocator
 from repro.units import MSEC, PAGE_SIZE
+
+
+def _fault(pipeline, tid, pu, vaddr, *, is_write=False, now_ns=0):
+    """Resolve one fault as a one-element batch."""
+    return pipeline.handle_fault_batch(
+        tid, pu, np.array([vaddr], dtype=np.int64), np.array([is_write]), now_ns=now_ns
+    )
 
 
 @pytest.fixture
@@ -25,7 +33,7 @@ def fault(pipeline, space, tid, page, now, write=False):
     vpn = addr // PAGE_SIZE
     if table.is_present(vpn):
         table.clear_present(vpn)
-    pipeline.handle_fault(tid, tid, addr, is_write=write, now_ns=now)
+    _fault(pipeline, tid, tid, addr, is_write=write, now_ns=now)
 
 
 class TestDetection:
@@ -97,10 +105,10 @@ class TestGranularity:
         pipeline = FaultPipeline(space, FrameAllocator(1, 100), node_of_pu=lambda pu: 0)
         det = SpcdDetector(2, granularity=PAGE_SIZE // 2, pipeline=pipeline)
         base = space.region("d").base
-        pipeline.handle_fault(0, 0, base, is_write=False, now_ns=0)
+        _fault(pipeline, 0, 0, base, is_write=False, now_ns=0)
         space.page_table.clear_present(base // PAGE_SIZE)
         # Second thread touches the *other half* of the same page.
-        pipeline.handle_fault(1, 1, base + PAGE_SIZE // 2, is_write=False, now_ns=1)
+        _fault(pipeline, 1, 1, base + PAGE_SIZE // 2, is_write=False, now_ns=1)
         assert det.matrix.total() == 0  # different sub-page regions
 
     def test_coarse_granularity_merges_pages(self):
@@ -109,8 +117,8 @@ class TestGranularity:
         pipeline = FaultPipeline(space, FrameAllocator(1, 100), node_of_pu=lambda pu: 0)
         det = SpcdDetector(2, granularity=4 * PAGE_SIZE, pipeline=pipeline)
         base = space.region("d").base  # vpn 1: pages 1 and 2 share region 0
-        pipeline.handle_fault(0, 0, base, is_write=False, now_ns=0)
-        pipeline.handle_fault(1, 1, base + PAGE_SIZE, is_write=False, now_ns=1)
+        _fault(pipeline, 0, 0, base, is_write=False, now_ns=0)
+        _fault(pipeline, 1, 1, base + PAGE_SIZE, is_write=False, now_ns=1)
         assert det.matrix.matrix[0, 1] == 1  # adjacent pages, same region
 
     def test_rejects_bad_granularity(self):
