@@ -240,7 +240,6 @@ class Simulator:
     def _pretouch_serial(self) -> None:
         """Fault in every region page from thread 0 (serial init phase)."""
         pu0 = int(self.scheduler.pu_of(0))
-        # One bulk first-touch mapping per region.
         for region in self.address_space.regions():
             vpns = region.vpns()
             if vpns.size == 0:
